@@ -177,6 +177,7 @@ void BM_CompactAfterPurge(benchmark::State& state) {
       ids.push_back(note.id());
     }
     if (!(*store)->Checkpoint().ok()) std::abort();
+    const uint64_t file_before = (*store)->pages_size_bytes();
     for (size_t i = 0; i < ids.size(); i += 2) {
       if (!(*store)->Erase(ids[i]).ok()) std::abort();
     }
@@ -188,13 +189,21 @@ void BM_CompactAfterPurge(benchmark::State& state) {
       if (!reclaimed.ok() || *reclaimed == 0) break;
     }
     state.PauseTiming();
-    state.counters["dead_mb"] =
-        static_cast<double>(dead) / (1024.0 * 1024.0);
+    // The checkpoint is where the file shrinks to its in-use pages.
+    if (!(*store)->Checkpoint().ok()) std::abort();
+    const CompactStats compact = (*store)->compact_stats();
+    constexpr double kMiB = 1024.0 * 1024.0;
+    state.counters["dead_mb"] = static_cast<double>(dead) / kMiB;
     state.counters["reclaimed_mb"] =
-        static_cast<double>((*store)->compact_stats().bytes_reclaimed) /
-        (1024.0 * 1024.0);
+        static_cast<double>(compact.bytes_reclaimed) / kMiB;
     state.counters["pages_freed"] =
-        static_cast<double>((*store)->compact_stats().pages_reclaimed);
+        static_cast<double>(compact.pages_reclaimed);
+    state.counters["pages_relocated"] =
+        static_cast<double>(compact.pages_relocated);
+    state.counters["file_mb_before"] =
+        static_cast<double>(file_before) / kMiB;
+    state.counters["file_mb_after"] =
+        static_cast<double>((*store)->pages_size_bytes()) / kMiB;
     state.ResumeTiming();
   }
 }

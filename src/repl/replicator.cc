@@ -211,11 +211,12 @@ Result<bool> ApplyRemoteChange(Database* db, const Note& remote,
   }
 
   // Deletion wins over concurrent edits (no conflict document is made
-  // from or for a deletion stub).
+  // from or for a deletion stub). Two independent deletions keep the
+  // stub the conflict rule picks, so both replicas end on the same one.
   if (local.deleted() || remote.deleted()) {
-    if (remote.deleted() && !local.deleted()) {
+    if (remote.deleted() && (!local.deleted() || RemoteWins(local, remote))) {
       DOMINO_RETURN_IF_ERROR(db->InstallRemoteNote(remote));
-      report->deletions_applied += 1;
+      if (!local.deleted()) report->deletions_applied += 1;
       report->pulled += 1;
       return true;
     }

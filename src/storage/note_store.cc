@@ -100,6 +100,8 @@ NoteStore::NoteStore(std::string dir, StoreOptions options)
   ctr_compact_pages_ = &registry_->GetCounter("Store.Compact.PagesReclaimed");
   ctr_compact_bytes_ = &registry_->GetCounter("Store.Compact.BytesReclaimed");
   ctr_compact_moved_ = &registry_->GetCounter("Store.Compact.NotesMoved");
+  ctr_compact_relocated_ =
+      &registry_->GetCounter("Store.Compact.PagesRelocated");
   ctr_pages_freed_inline_ = &registry_->GetCounter("Store.Pages.FreedInline");
   gauge_notes_ = &registry_->GetGauge("Database.Docs.Current");
   gauge_dead_bytes_ = &registry_->GetGauge("Store.DeadBytes");
@@ -681,29 +683,14 @@ Status NoteStore::KillLocation(const IdEntry& entry) {
 }
 
 Result<Note> NoteStore::ReadNoteAt(const IdEntry& entry) const {
-  const uint32_t page_size = pager_->page_size();
-  std::string buffer;
-  std::string_view encoded;
   if (entry.flags & kEntryOverflow) {
-    uint32_t pgno = entry.page;
-    while (pgno != kInvalidPage) {
-      DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref, pool_->Pin(pgno));
-      if (PageTypeOf(ref.data()) != pager::kPageOverflow) {
-        return Status::Corruption("overflow chain hits non-overflow page");
-      }
-      const uint16_t chunk = PageFreeOff(ref.data());
-      if (chunk > page_size - kPageHeaderSize ||
-          buffer.size() + chunk > (1ull << 30)) {
-        return Status::Corruption("overflow chunk out of bounds");
-      }
-      buffer.append(ref.data() + kPageHeaderSize, chunk);
-      pgno = PageNext(ref.data());
-    }
-    encoded = buffer;
+    std::string encoded;
+    DOMINO_RETURN_IF_ERROR(ReadOverflowChain(entry.page, &encoded, nullptr));
     Note note;
     DOMINO_RETURN_IF_ERROR(Note::DecodeFromString(encoded, &note));
     return note;
   }
+  const uint32_t page_size = pager_->page_size();
   DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref, pool_->Pin(entry.page));
   const char* data = ref.data();
   const uint16_t nslots = PageNSlots(data);
@@ -722,6 +709,26 @@ Result<Note> NoteStore::ReadNoteAt(const IdEntry& entry) const {
   DOMINO_RETURN_IF_ERROR(
       Note::DecodeFromString(std::string_view(data + off + 2, len), &note));
   return note;
+}
+
+Status NoteStore::ReadOverflowChain(uint32_t head, std::string* encoded,
+                                    std::vector<uint32_t>* pages) const {
+  const uint32_t page_size = pager_->page_size();
+  for (uint32_t pgno = head; pgno != kInvalidPage;) {
+    DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref, pool_->Pin(pgno));
+    if (PageTypeOf(ref.data()) != pager::kPageOverflow) {
+      return Status::Corruption("overflow chain hits non-overflow page");
+    }
+    const uint16_t chunk = PageFreeOff(ref.data());
+    if (chunk > page_size - kPageHeaderSize ||
+        encoded->size() + chunk > (1ull << 30)) {
+      return Status::Corruption("overflow chunk out of bounds");
+    }
+    encoded->append(ref.data() + kPageHeaderSize, chunk);
+    if (pages != nullptr) pages->push_back(pgno);
+    pgno = PageNext(ref.data());
+  }
+  return Status::Ok();
 }
 
 // -- Reads -----------------------------------------------------------------
@@ -1191,6 +1198,12 @@ Status NoteStore::Checkpoint() {
 
 Result<size_t> NoteStore::CompactStep(size_t max_pages) {
   WriterLock lock(&mu_);
+  DOMINO_ASSIGN_OR_RETURN(size_t reclaimed, CompactDeadPages(max_pages));
+  if (reclaimed > 0) return reclaimed;
+  return RelocateTailPages(max_pages);
+}
+
+Result<size_t> NoteStore::CompactDeadPages(size_t max_pages) {
   std::vector<uint32_t> candidates;
   for (const auto& [pg, bytes] : dead_bytes_) {
     if (pg == fill_page_) continue;
@@ -1254,10 +1267,139 @@ Result<size_t> NoteStore::CompactStep(size_t max_pages) {
   return reclaimed;
 }
 
+Result<size_t> NoteStore::RelocateTailPages(size_t max_pages) {
+  // With the free tail trimmed, the last page is in use; while any page
+  // is still free, that free page lies below it and the move shrinks
+  // the file by at least one page. Like the dead-page pass this only
+  // rearranges buffered pages and in-memory geometry.
+  size_t relocated = 0;
+  pager_->TrimFreeTail();
+  for (size_t moves = 0; moves < max_pages && pager_->free_count() > 0;
+       ++moves) {
+    DOMINO_ASSIGN_OR_RETURN(size_t pages,
+                            RelocatePage(pager_->page_count() - 1));
+    relocated += pages;
+    pager_->TrimFreeTail();
+  }
+  if (relocated > 0) {
+    compact_stats_.pages_relocated += relocated;
+    ctr_compact_relocated_->Add(relocated);
+  }
+  return relocated;
+}
+
+Result<size_t> NoteStore::RelocatePage(uint32_t from) {
+  const uint32_t page_size = pager_->page_size();
+  uint8_t type = pager::kPageFree;
+  uint32_t to = kInvalidPage;
+  std::vector<NoteId> slot_owners;
+  {
+    DOMINO_ASSIGN_OR_RETURN(pager::PageRef src, pool_->Pin(from));
+    type = PageTypeOf(src.data());
+    if (type == pager::kPageIdTable || type == pager::kPageBucket) {
+      to = pager_->Allocate();
+      pager::PageRef dst = pool_->PinNew(to, type);
+      std::memcpy(dst.data(), src.data(), page_size);
+      if (type == pager::kPageBucket) {
+        // Slot numbers survive the copy; an encoded note starts with its
+        // fixed32 id, which names the id-table entry to repoint.
+        const char* data = src.data();
+        const uint16_t nslots = PageNSlots(data);
+        for (uint16_t i = 0; i < nslots; ++i) {
+          const uint16_t off = LoadU16(data + DirOffset(page_size, i));
+          if (off != kDeadSlot) slot_owners.push_back(LoadU32(data + off + 2));
+        }
+      }
+    }
+  }
+  switch (type) {
+    case pager::kPageIdTable: {
+      auto it = std::find(id_table_pages_.begin(), id_table_pages_.end(),
+                          from);
+      if (it == id_table_pages_.end()) {
+        return Status::Corruption("relocate: id-table page not in table");
+      }
+      *it = to;
+      break;
+    }
+    case pager::kPageBucket: {
+      for (NoteId id : slot_owners) {
+        DOMINO_ASSIGN_OR_RETURN(IdEntry entry, ReadEntry(id));
+        if ((entry.flags & kEntryUsed) == 0 ||
+            (entry.flags & kEntryOverflow) != 0 || entry.page != from) {
+          return Status::Corruption("relocate: id table disagrees with slot");
+        }
+        entry.page = to;
+        DOMINO_RETURN_IF_ERROR(WriteEntry(id, entry));
+      }
+      auto dead = dead_bytes_.extract(from);
+      if (!dead.empty()) {
+        dead.key() = to;
+        dead_bytes_.insert(std::move(dead));
+      }
+      if (fill_page_ == from) fill_page_ = to;
+      break;
+    }
+    case pager::kPageOverflow: {
+      // A chain page has no back-pointer, so re-place the owner's whole
+      // chain: freeing it first lets the allocator hand its pages back
+      // lowest-first, and the free page below `from` guarantees `from`
+      // itself is not among them.
+      DOMINO_ASSIGN_OR_RETURN(NoteId id, OverflowOwner(from));
+      DOMINO_ASSIGN_OR_RETURN(IdEntry entry, ReadEntry(id));
+      std::string encoded;
+      std::vector<uint32_t> chain;
+      DOMINO_RETURN_IF_ERROR(ReadOverflowChain(entry.page, &encoded, &chain));
+      for (uint32_t pgno : chain) {
+        pool_->Discard(pgno);
+        pager_->Free(pgno);
+      }
+      DOMINO_RETURN_IF_ERROR(PlaceNote(encoded, &entry));
+      DOMINO_RETURN_IF_ERROR(WriteEntry(id, entry));
+      return chain.size();
+    }
+    default:
+      return Status::Corruption("relocate: page " + std::to_string(from) +
+                                " has unknown type");
+  }
+  pool_->Discard(from);
+  pager_->Free(from);
+  return 1;
+}
+
+Result<NoteId> NoteStore::OverflowOwner(uint32_t pgno) const {
+  const size_t per_page = EntriesPerPage();
+  for (size_t ti = 0; ti < id_table_pages_.size(); ++ti) {
+    std::vector<std::pair<NoteId, uint32_t>> heads;
+    {
+      DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref,
+                              pool_->Pin(id_table_pages_[ti]));
+      for (size_t i = 0; i < per_page; ++i) {
+        const char* p = ref.data() + kPageHeaderSize + i * kIdEntrySize;
+        const uint8_t flags = static_cast<uint8_t>(p[22]);
+        if ((flags & kEntryUsed) != 0 && (flags & kEntryOverflow) != 0) {
+          heads.emplace_back(static_cast<NoteId>(ti * per_page + i + 1),
+                             LoadU32(p + 16));
+        }
+      }
+    }
+    for (const auto& [id, head] : heads) {
+      for (uint32_t p = head; p != kInvalidPage;) {
+        if (p == pgno) return id;
+        DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref, pool_->Pin(p));
+        p = PageNext(ref.data());
+      }
+    }
+  }
+  return Status::Corruption("overflow page " + std::to_string(pgno) +
+                            " has no owning note");
+}
+
 Status NoteStore::MaybeCompact() {
   if (options_.compact_threshold_bytes == 0) return Status::Ok();
   if (dead_bytes() <= options_.compact_threshold_bytes) return Status::Ok();
-  return CompactStep(16).status();
+  WriterLock lock(&mu_);
+  return CompactDeadPages(16).status();
 }
 
 uint64_t NoteStore::dead_bytes() const {
@@ -1276,6 +1418,16 @@ uint64_t NoteStore::wal_size_bytes() const {
 uint64_t NoteStore::pages_size_bytes() const {
   auto size = pager_->FileSize();
   return size.ok() ? *size : 0;
+}
+
+uint32_t NoteStore::used_pages() const {
+  ReaderLock lock(&mu_);
+  return pager_->used_count();
+}
+
+size_t NoteStore::free_pages() const {
+  ReaderLock lock(&mu_);
+  return pager_->free_count();
 }
 
 }  // namespace dominodb

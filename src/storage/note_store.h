@@ -90,6 +90,8 @@ struct CompactStats {
   uint64_t pages_reclaimed = 0;
   uint64_t bytes_reclaimed = 0;
   uint64_t notes_moved = 0;
+  /// In-use pages moved from the file tail into lower free pages.
+  uint64_t pages_relocated = 0;
 };
 
 /// The NSF-equivalent: the authoritative per-database note container.
@@ -112,8 +114,10 @@ struct CompactStats {
 ///
 /// Compaction: updates and erases leave dead slot bytes behind;
 /// CompactStep() copies the live slots of the deadest pages into fresh
-/// pages and frees the husks. The owning Database slices it under brief
-/// writer locks so readers interleave (the online Domino COMPACT).
+/// pages and frees the husks, then moves in-use pages off the file tail
+/// into the freed holes so the next checkpoint can truncate the file.
+/// The owning Database slices it under brief writer locks so readers
+/// interleave (the online Domino COMPACT).
 ///
 /// Threading: the store carries its own reader/writer lock. Public reads
 /// take it shared; the apply step of every write, Checkpoint and
@@ -209,13 +213,18 @@ class NoteStore {
   // -- COMPACT ----------------------------------------------------------
   /// One bounded compaction slice: rewrites up to `max_pages` of the
   /// bucket pages carrying dead bytes, moving their live notes into the
-  /// current fill page and freeing the husks. Returns the number of
-  /// pages reclaimed (0 = nothing left to do). Requires the writer lock;
-  /// crash-safe because nothing touches disk until the next checkpoint.
+  /// current fill page and freeing the husks. Once no such page is left,
+  /// the slice instead relocates up to `max_pages` in-use pages from the
+  /// file tail into the lowest free pages. Returns the number of pages
+  /// reclaimed or relocated (0 = no dead page and no free page left, so
+  /// the next checkpoint shrinks the file to its in-use pages). Requires
+  /// the writer lock; crash-safe because nothing touches disk until the
+  /// next checkpoint.
   Result<size_t> CompactStep(size_t max_pages);
 
-  /// Runs one CompactStep slice when accumulated dead bytes exceed
-  /// `compact_threshold_bytes` (the background COMPACT task hook).
+  /// Runs one dead-page slice of CompactStep (never a relocation) when
+  /// accumulated dead bytes exceed `compact_threshold_bytes` (the
+  /// background COMPACT task hook).
   Status MaybeCompact();
 
   /// Dead bytes currently reclaimable by COMPACT.
@@ -226,6 +235,9 @@ class NoteStore {
   uint64_t wal_size_bytes() const;
   /// Size of the page file in bytes.
   uint64_t pages_size_bytes() const;
+  /// Pages in use / free inside the page file's allocation watermark.
+  uint32_t used_pages() const;
+  size_t free_pages() const;
   uint32_t page_size() const { return pager_->page_size(); }
 
  private:
@@ -298,10 +310,31 @@ class NoteStore {
   /// page outright when its last live slot dies.
   Status KillLocation(const IdEntry& entry) REQUIRES(mu_);
   Result<Note> ReadNoteAt(const IdEntry& entry) const REQUIRES_SHARED(mu_);
+  /// Concatenates the chunks of the overflow chain starting at `head`;
+  /// collects the chain's page numbers when `pages` is non-null.
+  Status ReadOverflowChain(uint32_t head, std::string* encoded,
+                           std::vector<uint32_t>* pages) const
+      REQUIRES_SHARED(mu_);
   /// Installs one note version; returns {existed, was_live} for stats.
   Result<std::pair<bool, bool>> ApplyNote(Note&& note) REQUIRES(mu_);
   /// Removes an entry that is known to be in use.
   Status ApplyErase(NoteId id, const IdEntry& entry) REQUIRES(mu_);
+
+  // -- COMPACT passes ----------------------------------------------------
+  /// Rewrites up to `max_pages` bucket pages carrying dead bytes; returns
+  /// the number of husks freed.
+  Result<size_t> CompactDeadPages(size_t max_pages) REQUIRES(mu_);
+  /// Moves the last page of the file into the lowest free page until
+  /// `max_pages` moves are done or no free page is left; returns the
+  /// number of pages moved.
+  Result<size_t> RelocateTailPages(size_t max_pages) REQUIRES(mu_);
+  /// Moves in-use page `from` into a lower free page and repoints its one
+  /// reference; returns the number of pages moved (a whole overflow chain
+  /// moves together).
+  Result<size_t> RelocatePage(uint32_t from) REQUIRES(mu_);
+  /// The note whose overflow chain contains `pgno` (a chain page carries
+  /// no back-pointer, so this walks the id table's overflow entries).
+  Result<NoteId> OverflowOwner(uint32_t pgno) const REQUIRES_SHARED(mu_);
 
   /// Registry accounting for one committed Put.
   void CountPut(bool existed, bool was_live, bool now_deleted);
@@ -361,6 +394,7 @@ class NoteStore {
   stats::Counter* ctr_compact_pages_;
   stats::Counter* ctr_compact_bytes_;
   stats::Counter* ctr_compact_moved_;
+  stats::Counter* ctr_compact_relocated_;
   stats::Counter* ctr_pages_freed_inline_;
   stats::Gauge* gauge_notes_;
   stats::Gauge* gauge_dead_bytes_;

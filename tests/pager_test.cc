@@ -517,6 +517,203 @@ TEST(CompactTest, OnlineCompactWithConcurrentReaders) {
   }
 }
 
+// Fills `store` with small notes, then one overflow note and a few more
+// small notes at the end of the file, then erases, stubs and purges most
+// of the early notes. The id-table pages (one per 15 notes at this page
+// size) and the overflow chain are left spread above a file full of holes.
+void ChurnToHoles(NoteStore* store) {
+  Micros t = 1;
+  std::vector<NoteId> early;
+  for (int i = 0; i < 240; ++i) {
+    Note note = SizedDoc(static_cast<uint64_t>(i + 1), t++, 90);
+    ASSERT_OK(store->Put(&note));
+    early.push_back(note.id());
+  }
+  Note big = SizedDoc(1000, t++, 3000);  // a chain of several pages
+  ASSERT_OK(store->Put(&big));
+  for (int i = 0; i < 30; ++i) {
+    Note note = SizedDoc(static_cast<uint64_t>(2000 + i), t++, 90);
+    ASSERT_OK(store->Put(&note));
+  }
+  // Of every four early notes: erase one, stub one to be purged, stub one
+  // that stays, keep one.
+  for (size_t i = 0; i < early.size(); i += 4) {
+    ASSERT_OK(store->Erase(early[i]));
+    ASSERT_OK_AND_ASSIGN(Note old_stub, store->Get(early[i + 1]));
+    old_stub.MakeStub(t++);
+    ASSERT_OK(store->Put(&old_stub));
+  }
+  const Micros recent = t + store->info().purge_interval + 1'000'000;
+  t = recent;
+  for (size_t i = 2; i < early.size(); i += 4) {
+    ASSERT_OK_AND_ASSIGN(Note stub, store->Get(early[i]));
+    stub.MakeStub(t++);
+    ASSERT_OK(store->Put(&stub));
+  }
+  ASSERT_OK_AND_ASSIGN(size_t purged,
+                       store->PurgeStubs(recent + store->info().purge_interval));
+  EXPECT_EQ(purged, early.size() / 4);
+}
+
+// Every note (stubs included), encoded, by id.
+std::map<NoteId, std::string> EncodedNotes(const NoteStore& store) {
+  std::map<NoteId, std::string> notes;
+  store.ForEach(
+      [&](const Note& note) { notes[note.id()] = note.EncodeToString(); });
+  return notes;
+}
+
+void CompactUntilDry(NoteStore* store) {
+  for (;;) {
+    ASSERT_OK_AND_ASSIGN(size_t moved, store->CompactStep(4));
+    if (moved == 0) break;
+  }
+}
+
+TEST(CompactTest, CompactLeavesNoFreePages) {
+  ScratchDir dir;
+  stats::StatRegistry registry;
+  StoreOptions options = TinyPagedOptions();
+  options.stats = &registry;
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  ASSERT_NO_FATAL_FAILURE(ChurnToHoles(store.get()));
+  ASSERT_OK(store->Checkpoint());
+  const std::map<NoteId, std::string> before = EncodedNotes(*store);
+  const uint64_t size_before = store->pages_size_bytes();
+  ASSERT_GT(store->free_pages(), 0u);
+
+  ASSERT_NO_FATAL_FAILURE(CompactUntilDry(store.get()));
+  const CompactStats stats = store->compact_stats();
+  EXPECT_GT(stats.pages_relocated, 0u);
+  EXPECT_EQ(store->dead_bytes(), 0u);
+  // Relocated pages have their own counter; the reclaim counters keep
+  // counting only the dead-page pass.
+  EXPECT_EQ(registry.FindCounter("Store.Compact.PagesRelocated")->value(),
+            stats.pages_relocated);
+  EXPECT_EQ(registry.FindCounter("Store.Compact.PagesReclaimed")->value(),
+            stats.pages_reclaimed);
+  EXPECT_EQ(registry.FindCounter("Store.Compact.BytesReclaimed")->value(),
+            stats.bytes_reclaimed);
+  ASSERT_OK(store->Checkpoint());
+  // Acceptance: no free page is left inside the file, and the file is
+  // exactly its in-use pages.
+  EXPECT_EQ(store->free_pages(), 0u);
+  EXPECT_EQ(store->pages_size_bytes(),
+            uint64_t{store->used_pages()} * options.page_size);
+  EXPECT_LT(store->pages_size_bytes(), size_before);
+  EXPECT_EQ(EncodedNotes(*store), before);
+  for (const auto& [id, encoded] : before) {
+    ASSERT_OK_AND_ASSIGN(Note note, store->Get(id));
+    EXPECT_EQ(note.EncodeToString(), encoded) << "note " << id;
+  }
+  // A second COMPACT finds nothing to do.
+  ASSERT_OK_AND_ASSIGN(size_t again, store->CompactStep(4));
+  EXPECT_EQ(again, 0u);
+
+  store.reset();
+  ASSERT_OK_AND_ASSIGN(auto reopened,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  EXPECT_EQ(reopened->free_pages(), 0u);
+  EXPECT_EQ(reopened->total_count(), before.size());
+  for (const auto& [id, encoded] : before) {
+    ASSERT_OK_AND_ASSIGN(Note note, reopened->Get(id));
+    EXPECT_EQ(note.EncodeToString(), encoded) << "note " << id;
+  }
+  // The relocated layout keeps working: new notes, inline and overflow,
+  // go into the fill page and past the end of the file.
+  for (size_t body : {size_t{40}, size_t{2000}}) {
+    Note fresh = SizedDoc(5000 + body, 1, body);
+    ASSERT_OK(reopened->Put(&fresh));
+    ASSERT_OK_AND_ASSIGN(Note read_fresh, reopened->Get(fresh.id()));
+    EXPECT_EQ(read_fresh.EncodeToString(), fresh.EncodeToString());
+  }
+}
+
+TEST(CompactTest, RelocatedFillPageKeepsItsRole) {
+  ScratchDir dir;
+  StoreOptions options = TinyPagedOptions();
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  Micros t = 1;
+  // One note per page, then a fill page at the end of the file holding
+  // two small notes, one of them overwritten so the fill page carries
+  // dead bytes.
+  std::vector<NoteId> page_sized;
+  for (int i = 0; i < 40; ++i) {
+    // 487 bytes encoded: no small note fits beside it in a 512-byte page.
+    Note note = SizedDoc(static_cast<uint64_t>(i + 1), t++, 400);
+    ASSERT_OK(store->Put(&note));
+    page_sized.push_back(note.id());
+  }
+  std::vector<Note> small;
+  for (int i = 0; i < 2; ++i) {
+    small.push_back(SizedDoc(static_cast<uint64_t>(100 + i), t++, 10));
+    ASSERT_OK(store->Put(&small.back()));
+  }
+  small[0].SetText("Body", "rewritten");
+  ASSERT_OK(store->Put(&small[0]));
+  // Erasing whole-page notes frees their pages outright, so the fill page
+  // is the only page with dead bytes and the dead-page pass skips it.
+  for (NoteId id : page_sized) ASSERT_OK(store->Erase(id));
+  const uint64_t dead = store->dead_bytes();
+  ASSERT_GT(dead, 0u);
+  ASSERT_NO_FATAL_FAILURE(CompactUntilDry(store.get()));
+  EXPECT_GT(store->compact_stats().pages_relocated, 0u);
+  EXPECT_EQ(store->compact_stats().pages_reclaimed, 0u);
+  EXPECT_EQ(store->dead_bytes(), dead);
+  ASSERT_OK(store->Checkpoint());
+  EXPECT_EQ(store->free_pages(), 0u);
+  // The moved page is still the fill page: a new small note joins it
+  // rather than opening a page.
+  const uint32_t used = store->used_pages();
+  small.push_back(SizedDoc(200, t++, 10));
+  ASSERT_OK(store->Put(&small.back()));
+  EXPECT_EQ(store->used_pages(), used);
+  ASSERT_OK(store->Checkpoint());
+
+  ASSERT_OK_AND_ASSIGN(auto reopened,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  // The dead bytes moved with their page, so COMPACT still finds and
+  // reclaims them (once the fill page moves on).
+  EXPECT_EQ(reopened->dead_bytes(), dead);
+  Note spill = SizedDoc(300, t++, 100);  // too big for the fill page
+  ASSERT_OK(reopened->Put(&spill));
+  small.push_back(spill);
+  ASSERT_NO_FATAL_FAILURE(CompactUntilDry(reopened.get()));
+  EXPECT_EQ(reopened->dead_bytes(), 0u);
+  for (const Note& note : small) {
+    ASSERT_OK_AND_ASSIGN(Note read, reopened->Get(note.id()));
+    EXPECT_EQ(read.EncodeToString(), note.EncodeToString());
+  }
+}
+
+TEST(CompactTest, CrashAfterRelocationLosesNothing) {
+  ScratchDir dir;
+  StoreOptions options = TinyPagedOptions();
+  std::map<NoteId, std::string> before;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+    ASSERT_NO_FATAL_FAILURE(ChurnToHoles(store.get()));
+    ASSERT_OK(store->Checkpoint());
+    before = EncodedNotes(*store);
+    ASSERT_NO_FATAL_FAILURE(CompactUntilDry(store.get()));
+    EXPECT_GT(store->compact_stats().pages_relocated, 0u);
+    // "Crash": drop the store without checkpointing. Relocation only
+    // moved buffered pages; the page file still holds the checkpointed
+    // layout, which the meta file describes.
+  }
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  EXPECT_EQ(EncodedNotes(*store), before);
+  // The recovered store compacts all the way down as well.
+  ASSERT_NO_FATAL_FAILURE(CompactUntilDry(store.get()));
+  ASSERT_OK(store->Checkpoint());
+  EXPECT_EQ(store->free_pages(), 0u);
+  EXPECT_EQ(EncodedNotes(*store), before);
+}
+
 // ------------------------------------------------------ Crash-recovery matrix --
 
 // Full sweep (every fault point × every tearable page, every WAL cut
@@ -527,99 +724,148 @@ bool FullCrashMatrix() {
   return env != nullptr && env[0] == '1';
 }
 
-struct CrashPoint {
-  const char* name;
+class CheckpointFaultMatrix
+    : public ::testing::TestWithParam<const char*> {
+ protected:
+  /// Options whose checkpoint dies at the parameterized fault point once
+  /// `armed_` is set.
+  StoreOptions FaultingOptions() {
+    StoreOptions options = TinyPagedOptions();
+    options.checkpoint_fault = [this](std::string_view point) {
+      if (armed_ && point == GetParam()) {
+        return Status::IOError("injected crash at " + std::string(point));
+      }
+      return Status::Ok();
+    };
+    return options;
+  }
+
+  /// Arms the fault and attempts the checkpoint that it kills.
+  void CrashCheckpoint(NoteStore* store) {
+    armed_ = true;
+    Status s = store->Checkpoint();
+    EXPECT_FALSE(s.ok()) << "fault " << GetParam() << " did not fire";
+  }
+
+  /// Starting each time from the post-crash disk state, tears one page the
+  /// crashed checkpoint rewrote (every page of the file that differs from
+  /// `pages_before`, the page file before that checkpoint began), and
+  /// proves recovery rebuilds `model` (encoded notes by id) exactly from
+  /// the WAL's page-image snapshot record. Recovery with no page torn is
+  /// checked first.
+  void ExpectRecoveryFromEveryTornPage(
+      const std::string& db_dir, const std::string& pages_before,
+      const std::map<NoteId, std::string>& model) {
+    const std::string fault_point = GetParam();
+    auto snapshot_file = [&](const char* name) {
+      auto contents = ReadFileToString(db_dir + "/" + name);
+      return contents.ok() ? *contents : std::string();
+    };
+    auto restore_file = [&](const char* name, const std::string& contents) {
+      std::string path = db_dir + "/" + name;
+      if (contents.empty()) {
+        RemoveFileIfExists(path).ok();
+      } else {
+        ASSERT_OK(WriteFileAtomic(path, contents));
+      }
+    };
+    const std::string crashed_pages = snapshot_file("notes.pages");
+    const std::string crashed_wal = snapshot_file("notes.wal");
+    const std::string crashed_meta = snapshot_file("notes.meta");
+
+    const uint32_t page_size = TinyPagedOptions().page_size;
+    std::vector<int64_t> tears = {-1};  // -1: no page torn
+    for (uint32_t pg = 0; pg < crashed_pages.size() / page_size; ++pg) {
+      const size_t off = size_t{pg} * page_size;
+      if (off + page_size > pages_before.size() ||
+          crashed_pages.compare(off, page_size, pages_before, off,
+                                page_size) != 0) {
+        tears.push_back(pg);
+      }
+    }
+    const size_t stride =
+        FullCrashMatrix() ? 1 : std::max<size_t>(1, (tears.size() - 1) / 6);
+    for (size_t i = 0; i < tears.size(); i += (i == 0 ? 1 : stride)) {
+      const int64_t pg = tears[i];
+      restore_file("notes.pages", crashed_pages);
+      restore_file("notes.wal", crashed_wal);
+      restore_file("notes.meta", crashed_meta);
+      if (pg >= 0) {
+        // Tear exactly page `pg`: its second half reads back as zeros,
+        // the footprint of a power cut mid-way through that page's pwrite.
+        ASSERT_OK_AND_ASSIGN(auto file,
+                             RandomAccessFile::Open(db_dir + "/notes.pages"));
+        ASSERT_OK(file->Write(
+            static_cast<uint64_t>(pg) * page_size + page_size / 2,
+            std::string(page_size / 2, '\0')));
+        ASSERT_OK(file->Sync());
+      }
+      ASSERT_OK_AND_ASSIGN(auto store, NoteStore::Open(db_dir,
+                                                       TinyPagedOptions(),
+                                                       PagedInfo()));
+      ASSERT_EQ(store->total_count(), model.size())
+          << "fault " << fault_point << " torn page " << pg;
+      for (const auto& [id, encoded] : model) {
+        ASSERT_OK_AND_ASSIGN(Note note, store->Get(id));
+        ASSERT_EQ(note.EncodeToString(), encoded)
+            << "fault " << fault_point << " torn page " << pg;
+      }
+    }
+  }
+
+  bool armed_ = false;
 };
 
-class CheckpointFaultMatrix
-    : public ::testing::TestWithParam<const char*> {};
-
 // Populates a store, then attempts a checkpoint that dies at the
-// parameterized fault point. Afterwards tears pages of the page file one
-// at a time and proves recovery rebuilds the exact pre-crash state from
-// the WAL's page-image snapshot record.
+// parameterized fault point; every page of the file is one it was writing.
 TEST_P(CheckpointFaultMatrix, TornPagesRecoverFromLoggedImages) {
-  const std::string fault_point = GetParam();
   ScratchDir dir;
   std::string db_dir = dir.Sub("db");
   std::map<NoteId, std::string> model;
-
-  StoreOptions options = TinyPagedOptions();
-  bool armed = false;
-  options.checkpoint_fault = [&](std::string_view point) {
-    if (armed && point == fault_point) {
-      return Status::IOError("injected crash at " + std::string(point));
-    }
-    return Status::Ok();
-  };
   {
     ASSERT_OK_AND_ASSIGN(auto store,
-                         NoteStore::Open(db_dir, options, PagedInfo()));
+                         NoteStore::Open(db_dir, FaultingOptions(),
+                                         PagedInfo()));
     Micros t = 1;
     for (int i = 0; i < 60; ++i) {
       Note note = SizedDoc(static_cast<uint64_t>(i + 1), t++,
                            i % 7 == 0 ? 800 : 100);
       ASSERT_OK(store->Put(&note));
-      model[note.id()] = note.GetText("Subject");
+      model[note.id()] = note.EncodeToString();
     }
     // Erase a few so the state isn't a pure insert log.
     for (NoteId id : {NoteId{3}, NoteId{9}, NoteId{27}}) {
       ASSERT_OK(store->Erase(id));
       model.erase(id);
     }
-    armed = true;
-    Status s = store->Checkpoint();
-    EXPECT_FALSE(s.ok()) << "fault " << fault_point << " did not fire";
-    // The store dies here with the checkpoint torn at `fault_point`.
+    CrashCheckpoint(store.get());
+    // The store dies here with the checkpoint torn at the fault point.
   }
+  ExpectRecoveryFromEveryTornPage(db_dir, "", model);
+}
 
-  // Capture the exact post-crash disk state; every tear iteration below
-  // starts from this state, not from the previous iteration's recovery.
-  auto snapshot_file = [&](const char* name) {
-    auto contents = ReadFileToString(db_dir + "/" + name);
-    return contents.ok() ? *contents : std::string();
-  };
-  auto restore_file = [&](const char* name, const std::string& contents) {
-    std::string path = db_dir + "/" + name;
-    if (contents.empty()) {
-      RemoveFileIfExists(path).ok();
-    } else {
-      ASSERT_OK(WriteFileAtomic(path, contents));
-    }
-  };
-  const std::string crashed_pages = snapshot_file("notes.pages");
-  const std::string crashed_wal = snapshot_file("notes.wal");
-  const std::string crashed_meta = snapshot_file("notes.meta");
-
-  const uint32_t page_size = options.page_size;
-  const uint32_t npages =
-      static_cast<uint32_t>(crashed_pages.size() / page_size);
-  const uint32_t stride = FullCrashMatrix() ? 1 : std::max(1u, npages / 6);
-  StoreOptions clean = TinyPagedOptions();
-  for (uint32_t pg = 0; pg < npages; pg += stride) {
-    restore_file("notes.pages", crashed_pages);
-    restore_file("notes.wal", crashed_wal);
-    restore_file("notes.meta", crashed_meta);
-    {
-      // Tear exactly page `pg`: its second half reads back as zeros, the
-      // footprint of a power cut mid-way through that page's pwrite.
-      ASSERT_OK_AND_ASSIGN(auto file,
-                           RandomAccessFile::Open(db_dir + "/notes.pages"));
-      ASSERT_OK(file->Write(
-          static_cast<uint64_t>(pg) * page_size + page_size / 2,
-          std::string(page_size / 2, '\0')));
-      ASSERT_OK(file->Sync());
-    }
+// A checkpoint that dies while writing out a relocating COMPACT: the file
+// still holds the previous layout, and the crashed checkpoint was moving
+// tail pages into its holes and shrinking it.
+TEST_P(CheckpointFaultMatrix, RelocatingCompactRecoversFromLoggedImages) {
+  ScratchDir dir;
+  std::string db_dir = dir.Sub("db");
+  std::map<NoteId, std::string> model;
+  std::string pages_before;
+  {
     ASSERT_OK_AND_ASSIGN(auto store,
-                         NoteStore::Open(db_dir, clean, PagedInfo()));
-    ASSERT_EQ(store->total_count(), model.size())
-        << "fault " << fault_point << " torn page " << pg;
-    for (const auto& [id, subject] : model) {
-      ASSERT_OK_AND_ASSIGN(Note note, store->Get(id));
-      ASSERT_EQ(note.GetText("Subject"), subject)
-          << "fault " << fault_point << " torn page " << pg;
-    }
+                         NoteStore::Open(db_dir, FaultingOptions(),
+                                         PagedInfo()));
+    ASSERT_NO_FATAL_FAILURE(ChurnToHoles(store.get()));
+    ASSERT_OK(store->Checkpoint());
+    model = EncodedNotes(*store);
+    ASSERT_OK_AND_ASSIGN(pages_before,
+                         ReadFileToString(db_dir + "/notes.pages"));
+    ASSERT_NO_FATAL_FAILURE(CompactUntilDry(store.get()));
+    EXPECT_GT(store->compact_stats().pages_relocated, 0u);
+    CrashCheckpoint(store.get());
   }
+  ExpectRecoveryFromEveryTornPage(db_dir, pages_before, model);
 }
 
 INSTANTIATE_TEST_SUITE_P(FaultPoints, CheckpointFaultMatrix,

@@ -253,6 +253,38 @@ TEST_F(ReplicationFixture, DeletionWinsOverConcurrentEdit) {
   EXPECT_EQ(b_->stub_count(), 1u);
 }
 
+TEST_F(ReplicationFixture, IndependentDeletionsConvergeOnOneStub) {
+  ASSERT_OK_AND_ASSIGN(NoteId id, a_->CreateNote(MakeDoc("Memo", "target")));
+  ASSERT_OK_AND_ASSIGN(Note on_a, a_->ReadNote(id));
+  clock_.Advance(1000);
+  Sync();
+  ASSERT_OK_AND_ASSIGN(Note on_b, b_->GetAnyByUnid(on_a.unid()));
+
+  // Both replicas delete the document before either hears of the other's
+  // deletion, A after one more edit: two stubs on divergent lineages, so
+  // neither dominates the other. (Equal-sequence stubs have equal content
+  // and already converge on the earlier one.)
+  on_a.SetText("Subject", "edited on A");
+  ASSERT_OK(a_->UpdateNote(on_a));
+  clock_.Advance(2000);
+  ASSERT_OK(a_->DeleteNote(id));
+  clock_.Advance(2000);
+  ASSERT_OK(b_->DeleteNote(on_b.id()));
+  ASSERT_OK_AND_ASSIGN(Note stub_a, a_->GetAnyByUnid(on_a.unid()));
+  ASSERT_OK_AND_ASSIGN(Note stub_b, b_->GetAnyByUnid(on_a.unid()));
+  ASSERT_GT(stub_a.sequence(), stub_b.sequence());
+  ASSERT_FALSE(stub_a.HasRevision(stub_b.sequence_time()));
+  clock_.Advance(1000);
+  Sync();
+  clock_.Advance(1000);
+  ASSERT_OK(server_b_->ReplicateWith(*server_a_, "shared.nsf", {}).status());
+  EXPECT_TRUE(Converged());
+  EXPECT_EQ(a_->note_count(), 0u);
+  EXPECT_EQ(b_->note_count(), 0u);
+  EXPECT_EQ(a_->stub_count(), 1u);
+  EXPECT_EQ(b_->stub_count(), 1u);
+}
+
 TEST_F(ReplicationFixture, SelectiveReplicationFilters) {
   ASSERT_OK(a_->CreateNote(MakeDoc("Invoice", "wanted", 100)).status());
   ASSERT_OK(a_->CreateNote(MakeDoc("Memo", "unwanted")).status());
