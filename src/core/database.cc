@@ -449,8 +449,12 @@ Result<std::unique_ptr<Database>> Database::Open(
 }
 
 void Database::LoadDesignState() {
-  // Children index + design notes (ACL, views) from the store.
+  // Children index + design notes (ACL, views) from the store, and the
+  // newest stamp already issued: a clock that is behind it after a reopen
+  // must not stamp edits below what peers have recorded as seen.
+  Micros newest_stamp = 0;
   store_->ForEach([&](const Note& note) {
+    newest_stamp = std::max(newest_stamp, note.modified_in_file());
     if (!note.deleted() && !note.parent_unid().IsNull()) {
       MutexLock lock(&catalog_mu_);
       children_[note.parent_unid()].insert(note.id());
@@ -465,6 +469,7 @@ void Database::LoadDesignState() {
       }
     }
   });
+  last_stamp_.store(newest_stamp, std::memory_order_release);
   // Views need a second pass so the children index is complete before
   // the rebuild walks response hierarchies.
   store_->ForEach([&](const Note& note) {

@@ -143,9 +143,10 @@ class Database : public NoteResolver {
   /// tests.
   const MvccSnapshots& mvcc() const { return mvcc_; }
 
-  /// The last modified-in-file stamp issued by this database. Everything
-  /// written so far carries a stamp ≤ this value; the replicator records
-  /// it as the post-session cutoff.
+  /// The last modified-in-file stamp issued by this database (at open,
+  /// the newest stamp among the stored notes). Everything written so far
+  /// carries a stamp ≤ this value; the replicator records it as the
+  /// post-session cutoff.
   Micros last_write_stamp() const {
     return last_stamp_.load(std::memory_order_acquire);
   }

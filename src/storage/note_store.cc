@@ -7,7 +7,6 @@
 #include "base/coding.h"
 #include "base/crc32c.h"
 #include "base/env.h"
-#include "wal/log_reader.h"
 
 namespace dominodb {
 
@@ -18,7 +17,6 @@ constexpr uint8_t kOpPut = 1;
 constexpr uint8_t kOpErase = 2;
 constexpr uint8_t kOpInfo = 3;
 
-constexpr char kSnapshotMagic[] = "DSNP1";
 constexpr char kMetaMagic[] = "DMET1";
 constexpr uint8_t kMetaVersion = 1;
 constexpr uint8_t kPagerSnapshotVersion = 1;
@@ -114,6 +112,18 @@ Result<std::unique_ptr<NoteStore>> NoteStore::Open(
     const DatabaseInfo& default_info) {
   DOMINO_RETURN_IF_ERROR(CreateDirIfMissing(dir));
   std::unique_ptr<NoteStore> store(new NoteStore(dir, options));
+  if (store->options_.shared_log == nullptr) {
+    // A store outside a server-wide log keeps its own one-stream log.
+    wal::SharedLogOptions log_options;
+    log_options.sync_mode = options.sync_mode;
+    log_options.stats = store->registry_;
+    DOMINO_ASSIGN_OR_RETURN(store->own_log_,
+                            wal::SharedLog::Open(dir + "/txnlog",
+                                                 log_options));
+    DOMINO_ASSIGN_OR_RETURN(store->options_.shared_stream,
+                            store->own_log_->RegisterStream("notes"));
+    store->options_.shared_log = store->own_log_.get();
+  }
 
   // An existing meta file is authoritative for the page size; the pager
   // must be opened with it before anything else touches pages.
@@ -163,19 +173,11 @@ Result<std::unique_ptr<NoteStore>> NoteStore::Open(
     WriterLock lock(&store->mu_);
     DOMINO_RETURN_IF_ERROR(store->Recover(default_info, meta_blob, have_meta));
   }
-  // Fresh = nothing on disk and nothing replayed from the shared log; the
-  // seed metadata is then persisted below so the replica id survives.
-  const bool fresh = !have_meta && !FileExists(store->SnapshotPath()) &&
-                     !FileExists(store->WalPath()) &&
-                     store->stats().recovered_records == 0;
+  // Fresh = no meta file and nothing replayed from the log; the seed
+  // metadata is then persisted below so the replica id survives.
+  const bool fresh = !have_meta && store->stats().recovered_records == 0;
   store->registry_->GetCounter("Database.Opens").Add();
   store->gauge_notes_->Add(static_cast<int64_t>(store->note_count()));
-  if (!store->uses_shared_log()) {
-    DOMINO_ASSIGN_OR_RETURN(store->wal_,
-                            wal::LogWriter::Open(store->WalPath(),
-                                                 options.sync_mode,
-                                                 store->registry_));
-  }
   if (fresh) {
     // Persist the seed metadata so the replica id survives reopen.
     DOMINO_RETURN_IF_ERROR(store->UpdateInfo(store->info()));
@@ -192,37 +194,8 @@ Status NoteStore::Recover(const DatabaseInfo& default_info,
     // can leave an id-table page torn, and the snapshot record in the log
     // must repair it before anything reads it.
     DOMINO_RETURN_IF_ERROR(DecodeMetaBlob(meta_blob));
-  } else {
-    // Pre-pager stores kept a monolithic snapshot; migrate it into pages
-    // (it is deleted once the first checkpoint lands a meta file).
-    auto snapshot = ReadFileToString(SnapshotPath());
-    if (snapshot.ok()) {
-      DOMINO_RETURN_IF_ERROR(LoadLegacySnapshot(*snapshot));
-    } else if (!snapshot.status().IsNotFound()) {
-      return snapshot.status();
-    }
   }
-  if (uses_shared_log()) {
-    DOMINO_RETURN_IF_ERROR(RecoverFromSharedLog());
-  } else {
-    auto log = ReadFileToString(WalPath());
-    if (log.ok()) {
-      wal::LogReader reader(std::move(*log));
-      wal::RecordType type;
-      std::string_view payload;
-      std::vector<std::pair<wal::RecordType, std::string>> records;
-      while (reader.ReadRecord(&type, &payload)) {
-        records.emplace_back(type, std::string(payload));
-      }
-      {
-        MutexLock stats_lock(&stats_mu_);
-        stats_.recovered_torn_tail = reader.tail_corrupted();
-      }
-      DOMINO_RETURN_IF_ERROR(ReplayRecords(records));
-    } else if (!log.status().IsNotFound()) {
-      return log.status();
-    }
-  }
+  DOMINO_RETURN_IF_ERROR(ReplayLog());
   // Authoritative index state from the (now repaired) id-table pages.
   // Replay above maintained counts incrementally; this scan replaces them
   // with ground truth and is idempotent after a snapshot adoption.
@@ -250,48 +223,34 @@ Status NoteStore::Recover(const DatabaseInfo& default_info,
   return Status::Ok();
 }
 
-Status NoteStore::RecoverFromSharedLog() {
-  // Collect this stream's records, then replay only the suffix after its
-  // last checkpoint marker: everything at or before the marker is already
-  // captured in the meta/page state loaded above.
+Status NoteStore::ReplayLog() {
+  // Keep only the suffix that the page state loaded above does not yet
+  // capture: a checkpoint marker supersedes everything before it, and so
+  // does a page-snapshot record (its images go down first, because they
+  // are what repairs a page torn by a crashed in-place checkpoint write —
+  // replaying logical ops through a torn page would fail its CRC check).
   std::vector<std::pair<wal::RecordType, std::string>> records;
   bool torn = false;
   DOMINO_RETURN_IF_ERROR(options_.shared_log->ReplayStream(
       options_.shared_stream,
       [&records](wal::RecordType type, std::string_view payload) {
-        records.emplace_back(type, std::string(payload));
+        if (type != wal::RecordType::kData) records.clear();
+        if (type != wal::RecordType::kCheckpoint) {
+          records.emplace_back(type, std::string(payload));
+        }
         return Status::Ok();
       },
       &torn));
-  size_t start = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (records[i].first == wal::RecordType::kCheckpoint) start = i + 1;
-  }
-  records.erase(records.begin(), records.begin() + start);
   {
     MutexLock stats_lock(&stats_mu_);
     stats_.recovered_torn_tail = torn;
   }
-  return ReplayRecords(records);
-}
-
-Status NoteStore::ReplayRecords(
-    const std::vector<std::pair<wal::RecordType, std::string>>& records) {
-  // The last kPagerSnapshot supersedes everything before it — and its
-  // page images must go down first, because they are what repairs a page
-  // torn by a crashed in-place checkpoint write (replaying logical ops
-  // through a torn page would fail its CRC check).
-  size_t start = 0;
-  for (size_t i = records.size(); i > 0; --i) {
-    if (records[i - 1].first == wal::RecordType::kPagerSnapshot) {
-      DOMINO_RETURN_IF_ERROR(AdoptPagerSnapshot(records[i - 1].second));
-      start = i;
-      break;
+  for (const auto& [type, payload] : records) {
+    if (type == wal::RecordType::kPagerSnapshot) {
+      DOMINO_RETURN_IF_ERROR(AdoptPagerSnapshot(payload));
+      continue;
     }
-  }
-  for (size_t i = start; i < records.size(); ++i) {
-    if (records[i].first != wal::RecordType::kData) continue;
-    DOMINO_RETURN_IF_ERROR(ApplyBatchPayload(records[i].second, true));
+    DOMINO_RETURN_IF_ERROR(ApplyBatchPayload(payload, true));
     MutexLock stats_lock(&stats_mu_);
     stats_.recovered_records++;
   }
@@ -459,31 +418,6 @@ Status NoteStore::RebuildIndexFromIdTable() {
       }
       if (id >= next_id_) next_id_ = id + 1;
     }
-  }
-  return Status::Ok();
-}
-
-Status NoteStore::LoadLegacySnapshot(std::string_view data) {
-  if (data.size() < sizeof(kSnapshotMagic) - 1 ||
-      data.substr(0, sizeof(kSnapshotMagic) - 1) != kSnapshotMagic) {
-    return Status::Corruption("snapshot: bad magic");
-  }
-  std::string_view input = data.substr(sizeof(kSnapshotMagic) - 1);
-  DOMINO_RETURN_IF_ERROR(DatabaseInfo::DecodeFrom(&input, &info_));
-  uint32_t next_id = 0;
-  uint64_t count = 0;
-  if (!GetFixed32(&input, &next_id) || !GetVarint64(&input, &count)) {
-    return Status::Corruption("snapshot: truncated header");
-  }
-  next_id_ = next_id;
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string_view encoded;
-    if (!GetLengthPrefixed(&input, &encoded)) {
-      return Status::Corruption("snapshot: truncated note");
-    }
-    Note note;
-    DOMINO_RETURN_IF_ERROR(Note::DecodeFromString(encoded, &note));
-    DOMINO_RETURN_IF_ERROR(ApplyNote(std::move(note)).status());
   }
   return Status::Ok();
 }
@@ -929,18 +863,12 @@ Status NoteStore::CommitPayload(const std::string& payload) {
   // sync modes) must not block concurrent shared-lock readers. Writers
   // are serialized by the owning Database, so two commits never race.
   auto start = std::chrono::steady_clock::now();
-  uint64_t wal_bytes = 0;
-  if (uses_shared_log()) {
-    DOMINO_RETURN_IF_ERROR(options_.shared_log->Commit(
-        options_.shared_stream, wal::RecordType::kData, payload));
-    wal_bytes = shared_bytes_since_checkpoint_.fetch_add(
-                    payload.size(), std::memory_order_relaxed) +
-                payload.size();
-  } else {
-    DOMINO_RETURN_IF_ERROR(
-        wal_->AppendRecord(wal::RecordType::kData, payload));
-    wal_bytes = wal_->bytes_written();
-  }
+  DOMINO_RETURN_IF_ERROR(options_.shared_log->Commit(
+      options_.shared_stream, wal::RecordType::kData, payload));
+  const uint64_t wal_bytes =
+      bytes_since_checkpoint_.fetch_add(payload.size(),
+                                        std::memory_order_relaxed) +
+      payload.size();
   hist_commit_micros_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
@@ -957,11 +885,9 @@ Status NoteStore::CommitPayload(const std::string& payload) {
 
 Status NoteStore::MaybeCheckpoint() {
   if (options_.checkpoint_threshold_bytes == 0) return Status::Ok();
-  const uint64_t obligation =
-      uses_shared_log()
-          ? shared_bytes_since_checkpoint_.load(std::memory_order_relaxed)
-          : (wal_ != nullptr ? wal_->bytes_written() : 0);
-  if (obligation <= options_.checkpoint_threshold_bytes) return Status::Ok();
+  if (wal_size_bytes() <= options_.checkpoint_threshold_bytes) {
+    return Status::Ok();
+  }
   return Checkpoint();
 }
 
@@ -1129,15 +1055,9 @@ Status NoteStore::Checkpoint() {
 
   // 1. One atomic record carrying meta + every dirty page image. Once it
   //    is durable, any torn in-place write below is repairable.
-  if (uses_shared_log()) {
-    DOMINO_RETURN_IF_ERROR(options_.shared_log->Commit(
-        options_.shared_stream, wal::RecordType::kPagerSnapshot, snapshot));
-    DOMINO_RETURN_IF_ERROR(options_.shared_log->SyncAll());
-  } else {
-    DOMINO_RETURN_IF_ERROR(
-        wal_->AppendRecord(wal::RecordType::kPagerSnapshot, snapshot));
-    DOMINO_RETURN_IF_ERROR(wal_->Sync());
-  }
+  DOMINO_RETURN_IF_ERROR(options_.shared_log->Commit(
+      options_.shared_stream, wal::RecordType::kPagerSnapshot, snapshot));
+  DOMINO_RETURN_IF_ERROR(options_.shared_log->SyncAll());
   DOMINO_RETURN_IF_ERROR(Fault("pager:after_log"));
 
   // 2. Write the dirty pages in place.
@@ -1163,27 +1083,15 @@ Status NoteStore::Checkpoint() {
   PutFixed32(&meta, crc32c::Mask(crc32c::Value(blob)));
   DOMINO_RETURN_IF_ERROR(WriteFileAtomic(MetaPath(), meta));
   DOMINO_RETURN_IF_ERROR(Fault("pager:after_meta"));
-  DOMINO_RETURN_IF_ERROR(RemoveFileIfExists(SnapshotPath()));
 
-  // 4. Truncate the WAL obligation.
-  if (uses_shared_log()) {
-    // Marker first (recovery skips everything at or before it), then
-    // advance this stream's low-water mark so segments every stream has
-    // checkpointed past can be physically dropped.
-    DOMINO_RETURN_IF_ERROR(options_.shared_log->Commit(
-        options_.shared_stream, wal::RecordType::kCheckpoint, ""));
-    DOMINO_RETURN_IF_ERROR(
-        options_.shared_log->AdvanceCheckpoint(options_.shared_stream));
-    shared_bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
-  } else {
-    // Start a fresh WAL; the page file + meta now carry all state.
-    wal_.reset();
-    DOMINO_RETURN_IF_ERROR(RemoveFileIfExists(WalPath()));
-    DOMINO_ASSIGN_OR_RETURN(wal_,
-                            wal::LogWriter::Open(WalPath(),
-                                                 options_.sync_mode,
-                                                 registry_));
-  }
+  // 4. Truncate the WAL obligation. Marker first (recovery skips
+  //    everything at or before it), then advance this stream's low-water
+  //    mark so segments no stream needs any more are physically dropped.
+  DOMINO_RETURN_IF_ERROR(options_.shared_log->Commit(
+      options_.shared_stream, wal::RecordType::kCheckpoint, ""));
+  DOMINO_RETURN_IF_ERROR(
+      options_.shared_log->AdvanceCheckpoint(options_.shared_stream));
+  bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
   pool_->MarkAllClean();
   DOMINO_RETURN_IF_ERROR(pager_->TruncateToWatermark());
   {
@@ -1408,11 +1316,7 @@ uint64_t NoteStore::dead_bytes() const {
 }
 
 uint64_t NoteStore::wal_size_bytes() const {
-  if (uses_shared_log()) {
-    return shared_bytes_since_checkpoint_.load(std::memory_order_relaxed);
-  }
-  auto size = FileSize(WalPath());
-  return size.ok() ? *size : 0;
+  return bytes_since_checkpoint_.load(std::memory_order_relaxed);
 }
 
 uint64_t NoteStore::pages_size_bytes() const {

@@ -19,7 +19,6 @@
 #include "pager/buffer_pool.h"
 #include "pager/pager.h"
 #include "stats/stats.h"
-#include "wal/log_writer.h"
 #include "wal/shared_log.h"
 
 namespace dominodb {
@@ -39,22 +38,25 @@ struct DatabaseInfo {
 };
 
 struct StoreOptions {
-  /// Durability policy of the private per-database log. Ignored when
-  /// `shared_log` is set — the SharedLog's own sync mode governs then.
-  wal::SyncMode sync_mode = wal::SyncMode::kNone;
+  /// Durability policy of the store's own log (see `shared_log`). Ignored
+  /// when `shared_log` is set — the SharedLog's own sync mode governs
+  /// then. The default acknowledges a commit only once it is synced.
+  wal::SyncMode sync_mode = wal::SyncMode::kGroupCommit;
   /// MaybeCheckpoint() snapshots once the WAL obligation exceeds this
   /// size (0 disables). Checkpointing is never triggered from inside the
   /// commit path; the owning Database (or an idle hook) calls
   /// MaybeCheckpoint explicitly.
   uint64_t checkpoint_threshold_bytes = 16ull << 20;
-  /// When set, this store logs through the server-wide shared transaction
-  /// log instead of a private `notes.wal`: commits are tagged with
-  /// `shared_stream` (obtained from SharedLog::RegisterStream) and ride
-  /// the group-commit protocol. The SharedLog must outlive the store.
+  /// The transaction log this store commits to, recovers from and
+  /// checkpoints against: the server-wide shared log, with commits tagged
+  /// `shared_stream` (obtained from SharedLog::RegisterStream). The
+  /// SharedLog must outlive the store. When null, the store opens its own
+  /// one-stream SharedLog under `<dir>/txnlog`.
   wal::SharedLog* shared_log = nullptr;
   uint32_t shared_stream = 0;
-  /// Registry receiving the `Database.*` and `WAL.*` stats of this store;
-  /// null → the process-wide StatRegistry::Global().
+  /// Registry receiving the `Database.*` stats of this store (and the
+  /// `Server.WAL.*` stats of its own log); null → the process-wide
+  /// StatRegistry::Global().
   stats::StatRegistry* stats = nullptr;
 
   // -- Paged storage ------------------------------------------------------
@@ -104,13 +106,15 @@ struct CompactStats {
 /// working set. Durable geometry (page count, free list, id-table pages)
 /// lives in `notes.meta`, written atomically at checkpoint.
 ///
-/// Durability: logical ops commit to the WAL exactly as before (same
-/// record format); page mutations stay in the buffer pool until
-/// Checkpoint(), which first logs one atomic kPagerSnapshot record
-/// containing every dirty page image, then writes the pages in place —
-/// so a torn in-place write is always repaired from the logged images.
-/// Crash recovery = adopt meta + replay WAL (images first if a snapshot
-/// record is present, then the logical suffix).
+/// Durability: logical ops commit as kData records to a wal::SharedLog
+/// stream — the server's log, or the store's own one-stream log under
+/// `txnlog/`; page mutations stay in the buffer pool until Checkpoint(),
+/// which first logs one atomic kPagerSnapshot record containing every
+/// dirty page image, then writes the pages in place — so a torn in-place
+/// write is always repaired from the logged images. Crash recovery =
+/// adopt meta + replay the stream's suffix after its last checkpoint
+/// marker (images first if a snapshot record is present, then the
+/// logical records).
 ///
 /// Compaction: updates and erases leave dead slot bytes behind;
 /// CompactStep() copies the live slots of the deadest pages into fresh
@@ -198,10 +202,10 @@ class NoteStore {
   /// WAL obligation. Protocol: (1) append one atomic kPagerSnapshot
   /// record — meta + every dirty page image — to the log and sync it;
   /// (2) write the dirty pages in place and sync the page file; (3)
-  /// atomically replace `notes.meta`; (4) reset the private log (or
-  /// commit a checkpoint marker and advance the shared-log low-water
-  /// mark). A crash anywhere in between recovers: the logged images
-  /// repair any torn in-place write.
+  /// atomically replace `notes.meta`; (4) commit a checkpoint marker and
+  /// advance the stream's low-water mark (which empties a one-stream own
+  /// log). A crash anywhere in between recovers: the logged images repair
+  /// any torn in-place write.
   Status Checkpoint();
 
   /// Checkpoints iff the WAL obligation exceeds
@@ -232,6 +236,7 @@ class NoteStore {
 
   StoreStats stats() const;
   CompactStats compact_stats() const;
+  /// Log payload bytes committed since the last checkpoint (this open).
   uint64_t wal_size_bytes() const;
   /// Size of the page file in bytes.
   uint64_t pages_size_bytes() const;
@@ -251,25 +256,15 @@ class NoteStore {
     Micros seq_time = 0;
   };
 
-  std::string WalPath() const { return dir_ + "/notes.wal"; }
-  std::string SnapshotPath() const { return dir_ + "/notes.snap"; }
   std::string MetaPath() const { return dir_ + "/notes.meta"; }
   std::string PagesPath() const { return dir_ + "/notes.pages"; }
 
-  bool uses_shared_log() const { return options_.shared_log != nullptr; }
-
   Status Recover(const DatabaseInfo& default_info, std::string_view meta_blob,
                  bool have_meta) REQUIRES(mu_);
-  /// Shared-log recovery: demultiplexes this store's stream and replays
-  /// the suffix after its last checkpoint marker.
-  Status RecoverFromSharedLog() REQUIRES(mu_);
-  /// Ordered replay of one stream's record suffix: adopt the last
-  /// kPagerSnapshot (if any) first — its images repair torn pages — then
-  /// apply the kData records that follow it.
-  Status ReplayRecords(
-      const std::vector<std::pair<wal::RecordType, std::string>>& records)
-      REQUIRES(mu_);
-  Status LoadLegacySnapshot(std::string_view data) REQUIRES(mu_);
+  /// Replays this store's log stream after its last checkpoint marker:
+  /// adopt the last kPagerSnapshot (if any) first — its images repair
+  /// torn pages — then apply the kData records that follow it.
+  Status ReplayLog() REQUIRES(mu_);
   Status ApplyBatchPayload(std::string_view payload, bool from_recovery)
       REQUIRES(mu_);
   Status CommitPayload(const std::string& payload);
@@ -350,14 +345,14 @@ class NoteStore {
   mutable SharedMutex mu_;
 
   DatabaseInfo info_ GUARDED_BY(mu_);
-  /// Private log; null when the store runs on the shared log. The log
-  /// itself is NOT guarded by mu_: commits append outside the exclusive
-  /// section, relying on the owning Database serializing all writers
-  /// (readers never touch it).
-  std::unique_ptr<wal::LogWriter> wal_;
-  /// Shared-log mode: payload bytes committed since the last checkpoint
-  /// (the store's WAL obligation, driving MaybeCheckpoint).
-  std::atomic<uint64_t> shared_bytes_since_checkpoint_{0};
+  /// The store's own log when StoreOptions::shared_log was null (then
+  /// options_.shared_log points at it). The log is NOT guarded by mu_:
+  /// commits append outside the exclusive section, relying on the owning
+  /// Database serializing all writers (readers never touch it).
+  std::unique_ptr<wal::SharedLog> own_log_;
+  /// Payload bytes committed since the last checkpoint (the store's WAL
+  /// obligation, driving MaybeCheckpoint).
+  std::atomic<uint64_t> bytes_since_checkpoint_{0};
 
   std::unique_ptr<pager::Pager> pager_;
   std::unique_ptr<pager::BufferPool> pool_;

@@ -32,7 +32,7 @@ SharedLog::SharedLog(std::string dir, const SharedLogOptions& options)
       &registry_->GetHistogram("Server.WAL.GroupCommit.BatchRecords");
   hist_batch_bytes_ =
       &registry_->GetHistogram("Server.WAL.GroupCommit.BatchBytes");
-  hist_sync_micros_ = &registry_->GetHistogram("WAL.SyncMicros");
+  hist_sync_micros_ = &registry_->GetHistogram("Server.WAL.SyncMicros");
 }
 
 SharedLog::~SharedLog() {
@@ -56,8 +56,28 @@ Result<std::unique_ptr<SharedLog>> SharedLog::Open(
     if (!FileExists(log->SegmentPath(seg))) break;
     DOMINO_RETURN_IF_ERROR(RemoveFileIfExists(log->SegmentPath(seg)));
   }
+  DOMINO_RETURN_IF_ERROR(log->CutTornTailLocked());
   DOMINO_RETURN_IF_ERROR(log->OpenCurrentSegmentLocked());
   return log;
+}
+
+Status SharedLog::CutTornTailLocked() {
+  // A crash can tear the last frame of the newest segment. Replay stops
+  // at the first bad frame, so a commit appended behind it would be
+  // acknowledged and then lost: cut the segment back to its last good
+  // frame. Replays through this open log still report the tear.
+  const std::string path = SegmentPath(current_segment_);
+  auto contents = ReadFileToString(path);
+  if (contents.status().IsNotFound()) return Status::Ok();
+  DOMINO_RETURN_IF_ERROR(contents.status());
+  LogReader reader(std::move(*contents));
+  RecordType type;
+  std::string_view payload;
+  while (reader.ReadRecord(&type, &payload)) {
+  }
+  if (!reader.tail_corrupted()) return Status::Ok();
+  cut_torn_tail_ = true;
+  return TruncateFile(path, reader.offset());
 }
 
 std::string SharedLog::SegmentPath(uint64_t index) const {
@@ -126,9 +146,20 @@ Status SharedLog::MaybeRollSegmentLocked() {
   // Completed segments are immutable from here on; seal with a sync so
   // truncation decisions never outrun the device.
   DOMINO_RETURN_IF_ERROR(file_->Sync());
+  return RollSegmentLocked();
+}
+
+Status SharedLog::RollSegmentLocked() {
   file_.reset();
   ++current_segment_;
   return OpenCurrentSegmentLocked();
+}
+
+bool SharedLog::AnyStreamDirtyLocked() const {
+  for (const auto& [id, info] : streams_) {
+    if (info.dirty) return true;
+  }
+  return false;
 }
 
 Result<uint32_t> SharedLog::RegisterStream(const std::string& name) {
@@ -136,7 +167,7 @@ Result<uint32_t> SharedLog::RegisterStream(const std::string& name) {
   auto it = stream_ids_.find(name);
   if (it != stream_ids_.end()) return it->second;
   const uint32_t id = next_stream_id_++;
-  streams_[id] = StreamInfo{name, current_segment_};
+  streams_[id] = StreamInfo{name, current_segment_, /*dirty=*/false};
   stream_ids_[name] = id;
   DOMINO_RETURN_IF_ERROR(PersistManifestLocked());
   return id;
@@ -164,10 +195,14 @@ Status SharedLog::Commit(uint32_t stream, RecordType type,
   mux.append(payload);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (streams_.count(stream) == 0) {
+    auto it = streams_.find(stream);
+    if (it == streams_.end()) {
       return Status::InvalidArgument("shared log: unregistered stream " +
                                      std::to_string(stream));
     }
+    // Marked before the frame is queued, so a concurrent checkpoint of
+    // another stream can no longer roll away the segment it lands in.
+    if (type != RecordType::kCheckpoint) it->second.dirty = true;
   }
   if (options_.sync_mode == SyncMode::kGroupCommit) {
     return CommitGrouped(type, mux);
@@ -287,7 +322,7 @@ Status SharedLog::ReplayStream(
       DOMINO_RETURN_IF_ERROR(file_->Flush());
     }
   }
-  bool torn = false;
+  bool torn = cut_torn_tail_;
   for (uint64_t seg = lo; seg <= hi; ++seg) {
     auto contents = ReadFileToString(SegmentPath(seg));
     if (contents.status().IsNotFound()) continue;  // truncated underneath us
@@ -318,13 +353,29 @@ Status SharedLog::ReplayStream(
 }
 
 Status SharedLog::AdvanceCheckpoint(uint32_t stream) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   auto it = streams_.find(stream);
   if (it == streams_.end()) {
     return Status::InvalidArgument("shared log: unregistered stream " +
                                    std::to_string(stream));
   }
   it->second.low_segment = current_segment_;
+  it->second.dirty = false;
+  if (!AnyStreamDirtyLocked()) {
+    // No stream needs the current segment: roll past it so it is deleted
+    // below. The roll must not race a leader's unlocked append; waiting
+    // releases mu_, so the decision is re-checked after.
+    cv_.wait(lock, [&] { return !writing_ || !io_error_.ok(); });
+    if (!io_error_.ok()) return io_error_;
+    if (!AnyStreamDirtyLocked()) {
+      Status rolled = RollSegmentLocked();
+      if (!rolled.ok()) {
+        io_error_ = rolled;  // no open segment left: fail-stop
+        return rolled;
+      }
+      for (auto& [id, info] : streams_) info.low_segment = current_segment_;
+    }
+  }
   uint64_t min_low = current_segment_;
   for (const auto& [id, info] : streams_) {
     min_low = std::min(min_low, info.low_segment);

@@ -14,9 +14,19 @@
 #include "base/result.h"
 #include "base/status.h"
 #include "stats/stats.h"
-#include "wal/log_writer.h"
+#include "wal/log_format.h"
 
 namespace dominodb::wal {
+
+/// Durability policy for commits. Domino R5 offered similar knobs; E7/E14
+/// benchmark the cost of each.
+enum class SyncMode {
+  kNone,         // OS buffering only: fast, loses tail on crash
+  kEveryCommit,  // fsync per commit: durable, one device flush per record
+  /// Leader/follower group commit: concurrent committers share one fsync
+  /// (durable, amortized); a lone committer pays one fsync per commit.
+  kGroupCommit
+};
 
 struct SharedLogOptions {
   SyncMode sync_mode = SyncMode::kGroupCommit;
@@ -76,8 +86,10 @@ class SharedLog {
 
   /// Replays the committed records of `stream`, in commit order, across
   /// all retained segments. A torn tail on the final segment ends the
-  /// replay (committed-prefix semantics) and sets `*torn_tail`; torn
-  /// middles of non-final segments are logged and skipped the same way.
+  /// replay (committed-prefix semantics) and sets `*torn_tail` (Open has
+  /// already cut it off, so later commits land after the last good
+  /// frame); torn middles of non-final segments are logged and skipped
+  /// the same way.
   Status ReplayStream(
       uint32_t stream,
       const std::function<Status(RecordType type, std::string_view payload)>&
@@ -86,7 +98,10 @@ class SharedLog {
 
   /// Records that `stream` needs nothing logged before now (its state is
   /// captured in a snapshot), then deletes every segment all streams have
-  /// moved past.
+  /// moved past. Once no stream has committed a data or page-snapshot
+  /// record since its own checkpoint, nothing in the current segment is
+  /// needed either: the log rolls to a fresh segment and deletes the old
+  /// one, so a one-stream log is empty after every checkpoint.
   Status AdvanceCheckpoint(uint32_t stream);
 
   /// Forces any pending group batch to disk (shutdown convenience).
@@ -104,6 +119,10 @@ class SharedLog {
   struct StreamInfo {
     std::string name;
     uint64_t low_segment = 1;  // needs nothing below this segment
+    /// Committed a data or page-snapshot record since its last
+    /// checkpoint (in memory only; streams loaded from the manifest start
+    /// dirty, since the current segment may hold their suffix).
+    bool dirty = true;
   };
 
   SharedLog(std::string dir, const SharedLogOptions& options);
@@ -112,14 +131,20 @@ class SharedLog {
   Status LoadManifest();
   Status PersistManifestLocked();
   Status OpenCurrentSegmentLocked();
+  /// Truncates a torn frame off the end of the current segment (Open).
+  Status CutTornTailLocked();
   /// Rolls to a fresh segment once the current one is over budget. Called
   /// with mu_ held and no flush in progress.
   Status MaybeRollSegmentLocked();
+  /// Closes the current segment (unsynced) and opens the next one; same
+  /// contract.
+  Status RollSegmentLocked();
+  bool AnyStreamDirtyLocked() const;
   /// Serialized append (+ optional sync) for the non-group modes.
   Status CommitSerialized(RecordType type, std::string_view mux_payload);
   /// Leader/follower protocol for kGroupCommit.
   Status CommitGrouped(RecordType type, std::string_view mux_payload);
-  /// fsync with WAL.SyncMicros accounting; mu_ must NOT be held.
+  /// fsync with Server.WAL.SyncMicros accounting; mu_ must NOT be held.
   Status TimedSync();
 
   const std::string dir_;
@@ -155,6 +180,9 @@ class SharedLog {
   std::string pending_;       // framed records awaiting the next batch
   uint64_t pending_records_ = 0;
   Status io_error_;  // sticky: after a failed flush the log is fail-stop
+  /// Open cut a torn tail off the newest segment (set before the log is
+  /// shared, read-only after).
+  bool cut_torn_tail_ = false;
 };
 
 }  // namespace dominodb::wal

@@ -52,6 +52,34 @@ TEST_F(DatabaseFixture, CreateReadUpdateDelete) {
   EXPECT_EQ(stub.sequence(), 3u);
 }
 
+TEST(DatabaseReopenTest, WriteStampStaysAheadOfSlowClock) {
+  ScratchDir dir;
+  SimClock clock;
+  const DatabaseOptions options;
+  Micros old_stamp = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto db,
+                         Database::Open(dir.Sub("db"), options, &clock));
+    ASSERT_OK(db->CreateNote(MakeDoc("Memo", "before")).status());
+    old_stamp = db->last_write_stamp();
+  }
+  // The clock after the restart is a second behind the newest stamp.
+  clock.Set(clock.Now() - 1'000'000);
+  ASSERT_OK_AND_ASSIGN(auto db,
+                       Database::Open(dir.Sub("db"), options, &clock));
+  EXPECT_EQ(db->last_write_stamp(), old_stamp);
+  ASSERT_OK_AND_ASSIGN(NoteId id, db->CreateNote(MakeDoc("Memo", "after")));
+  EXPECT_GT(db->last_write_stamp(), old_stamp);
+  ASSERT_OK_AND_ASSIGN(Note note, db->ReadNote(id));
+  EXPECT_GT(note.modified_in_file(), old_stamp);
+  // A peer that recorded `old_stamp` as its cutoff still sees the edit.
+  bool found = false;
+  for (const auto& change : db->ChangeSummarySince(old_stamp)) {
+    if (change.oid.unid == note.unid()) found = true;
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST_F(DatabaseFixture, SaveConflictDetected) {
   ASSERT_OK_AND_ASSIGN(NoteId id, Create("Memo", "v1"));
   ASSERT_OK_AND_ASSIGN(Note copy_a, db_->ReadNote(id));

@@ -757,21 +757,24 @@ class CheckpointFaultMatrix
       const std::string& db_dir, const std::string& pages_before,
       const std::map<NoteId, std::string>& model) {
     const std::string fault_point = GetParam();
-    auto snapshot_file = [&](const char* name) {
-      auto contents = ReadFileToString(db_dir + "/" + name);
+    auto snapshot_file = [&](const std::string& path) {
+      auto contents = ReadFileToString(path);
       return contents.ok() ? *contents : std::string();
     };
-    auto restore_file = [&](const char* name, const std::string& contents) {
-      std::string path = db_dir + "/" + name;
+    auto restore_file = [&](const std::string& path,
+                            const std::string& contents) {
       if (contents.empty()) {
         RemoveFileIfExists(path).ok();
       } else {
         ASSERT_OK(WriteFileAtomic(path, contents));
       }
     };
-    const std::string crashed_pages = snapshot_file("notes.pages");
-    const std::string crashed_wal = snapshot_file("notes.wal");
-    const std::string crashed_meta = snapshot_file("notes.meta");
+    const std::string pages_path = db_dir + "/notes.pages";
+    const std::string wal_path = testing_util::StoreLogSegment(db_dir);
+    const std::string meta_path = db_dir + "/notes.meta";
+    const std::string crashed_pages = snapshot_file(pages_path);
+    const std::string crashed_wal = snapshot_file(wal_path);
+    const std::string crashed_meta = snapshot_file(meta_path);
 
     const uint32_t page_size = TinyPagedOptions().page_size;
     std::vector<int64_t> tears = {-1};  // -1: no page torn
@@ -787,14 +790,14 @@ class CheckpointFaultMatrix
         FullCrashMatrix() ? 1 : std::max<size_t>(1, (tears.size() - 1) / 6);
     for (size_t i = 0; i < tears.size(); i += (i == 0 ? 1 : stride)) {
       const int64_t pg = tears[i];
-      restore_file("notes.pages", crashed_pages);
-      restore_file("notes.wal", crashed_wal);
-      restore_file("notes.meta", crashed_meta);
+      restore_file(pages_path, crashed_pages);
+      restore_file(wal_path, crashed_wal);
+      restore_file(meta_path, crashed_meta);
       if (pg >= 0) {
         // Tear exactly page `pg`: its second half reads back as zeros,
         // the footprint of a power cut mid-way through that page's pwrite.
         ASSERT_OK_AND_ASSIGN(auto file,
-                             RandomAccessFile::Open(db_dir + "/notes.pages"));
+                             RandomAccessFile::Open(pages_path));
         ASSERT_OK(file->Write(
             static_cast<uint64_t>(pg) * page_size + page_size / 2,
             std::string(page_size / 2, '\0')));
@@ -889,7 +892,7 @@ TEST(CrashMatrixTest, WalCutSweepRecoversCommittedPrefix) {
       subjects.push_back(note.GetText("Subject"));
     }
   }
-  std::string wal_path = db_dir + "/notes.wal";
+  const std::string wal_path = testing_util::StoreLogSegment(db_dir);
   ASSERT_OK_AND_ASSIGN(std::string full_wal, ReadFileToString(wal_path));
   const uint64_t stride = FullCrashMatrix()
                               ? 1

@@ -154,6 +154,93 @@ TEST(SharedLogTest, CheckpointLowWaterMarksGateTruncation) {
   EXPECT_EQ(seen, 1);
 }
 
+TEST(SharedLogTest, CheckpointRollsOnceNoStreamNeedsCurrentSegment) {
+  ScratchDir dir;
+  ASSERT_OK_AND_ASSIGN(auto log,
+                       wal::SharedLog::Open(dir.Sub("txnlog"), BufferedLog()));
+  ASSERT_OK_AND_ASSIGN(uint32_t a, log->RegisterStream("a.nsf"));
+  ASSERT_OK_AND_ASSIGN(uint32_t b, log->RegisterStream("b.nsf"));
+  ASSERT_OK(log->Commit(a, wal::RecordType::kData, "a1"));
+  ASSERT_OK(log->Commit(b, wal::RecordType::kData, "b1"));
+  // `b` still needs its record in the current segment: no roll.
+  ASSERT_OK(log->Commit(a, wal::RecordType::kCheckpoint, ""));
+  ASSERT_OK(log->AdvanceCheckpoint(a));
+  EXPECT_EQ(log->current_segment(), 1u);
+  EXPECT_EQ(log->first_segment(), 1u);
+  // Once both have checkpointed, the segment rolls and is deleted.
+  ASSERT_OK(log->Commit(b, wal::RecordType::kCheckpoint, ""));
+  ASSERT_OK(log->AdvanceCheckpoint(b));
+  EXPECT_EQ(log->current_segment(), 2u);
+  EXPECT_EQ(log->first_segment(), 2u);
+  EXPECT_FALSE(FileExists(log->SegmentPath(1)));
+  // A checkpoint marker alone does not pin the new segment, but a data
+  // record of the other stream does.
+  ASSERT_OK(log->Commit(a, wal::RecordType::kData, "a2"));
+  ASSERT_OK(log->Commit(b, wal::RecordType::kCheckpoint, ""));
+  ASSERT_OK(log->AdvanceCheckpoint(b));
+  EXPECT_EQ(log->current_segment(), 2u);
+  // Records committed after the roll replay across a reopen.
+  log.reset();
+  ASSERT_OK_AND_ASSIGN(log,
+                       wal::SharedLog::Open(dir.Sub("txnlog"), BufferedLog()));
+  std::vector<std::string> replayed;
+  for (uint32_t stream : {a, b}) {
+    ASSERT_OK(log->ReplayStream(
+        stream,
+        [&](wal::RecordType type, std::string_view payload) {
+          if (type == wal::RecordType::kData) {
+            replayed.emplace_back(payload);
+          }
+          return Status::Ok();
+        },
+        nullptr));
+  }
+  EXPECT_EQ(replayed, std::vector<std::string>{"a2"});
+}
+
+// A commit acknowledged after recovering from a torn tail must survive the
+// next restart: it may not land behind the torn frame, where replay stops.
+TEST(SharedLogTest, CommitAfterTornTailSurvivesReopen) {
+  ScratchDir dir;
+  uint32_t a = 0;
+  std::string seg_path;
+  {
+    ASSERT_OK_AND_ASSIGN(
+        auto log, wal::SharedLog::Open(dir.Sub("txnlog"), BufferedLog()));
+    ASSERT_OK_AND_ASSIGN(a, log->RegisterStream("a.nsf"));
+    ASSERT_OK(log->Commit(a, wal::RecordType::kData, "before"));
+    ASSERT_OK(log->Commit(a, wal::RecordType::kData, "torn"));
+    seg_path = log->SegmentPath(log->current_segment());
+  }
+  ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(seg_path));
+  ASSERT_OK(TruncateFile(seg_path, size - 2));
+  auto replay = [&](wal::SharedLog* log, bool* torn) {
+    std::vector<std::string> seen;
+    EXPECT_OK(log->ReplayStream(
+        a,
+        [&](wal::RecordType, std::string_view payload) {
+          seen.emplace_back(payload);
+          return Status::Ok();
+        },
+        torn));
+    return seen;
+  };
+  {
+    ASSERT_OK_AND_ASSIGN(
+        auto log, wal::SharedLog::Open(dir.Sub("txnlog"), BufferedLog()));
+    bool torn = false;
+    EXPECT_EQ(replay(log.get(), &torn), std::vector<std::string>{"before"});
+    EXPECT_TRUE(torn);
+    ASSERT_OK(log->Commit(a, wal::RecordType::kData, "after"));
+  }
+  ASSERT_OK_AND_ASSIGN(auto log,
+                       wal::SharedLog::Open(dir.Sub("txnlog"), BufferedLog()));
+  bool torn = true;
+  EXPECT_EQ(replay(log.get(), &torn),
+            (std::vector<std::string>{"before", "after"}));
+  EXPECT_FALSE(torn);
+}
+
 // Torn tail of the multiplexed log: cut bytes off the final segment and
 // verify committed-prefix semantics PER STREAM — a torn frame only costs
 // the records at or after the cut, never an earlier record of any stream.

@@ -1,34 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "base/env.h"
 #include "base/rng.h"
+#include "stats/stats.h"
 #include "storage/note_store.h"
 #include "tests/test_util.h"
 #include "wal/log_reader.h"
-#include "wal/log_writer.h"
 
 namespace dominodb {
 namespace {
 
 using testing_util::MakeDoc;
 using testing_util::ScratchDir;
+using testing_util::StoreLogSegment;
 
-// -------------------------------------------------------------------- WAL --
+// -------------------------------------------------------------- WAL framing --
+
+// A log image built with the segment framing the SharedLog writes.
+std::string FramedLog(
+    const std::vector<std::pair<wal::RecordType, std::string>>& records) {
+  std::string log;
+  for (const auto& [type, payload] : records) {
+    wal::AppendFrameTo(&log, type, payload);
+  }
+  return log;
+}
 
 TEST(WalTest, WriteAndReadRecords) {
-  ScratchDir dir;
-  std::string path = dir.Sub("test.wal");
-  {
-    auto writer = wal::LogWriter::Open(path, wal::SyncMode::kNone);
-    ASSERT_OK(writer);
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData, "one"));
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kCheckpoint, ""));
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData,
-                                      std::string(100000, 'z')));
-    ASSERT_OK((*writer)->Sync());
-  }
-  ASSERT_OK_AND_ASSIGN(std::string contents, ReadFileToString(path));
-  wal::LogReader reader(contents);
+  wal::LogReader reader(FramedLog({{wal::RecordType::kData, "one"},
+                                   {wal::RecordType::kCheckpoint, ""},
+                                   {wal::RecordType::kData,
+                                    std::string(100000, 'z')}}));
   wal::RecordType type;
   std::string_view payload;
   ASSERT_TRUE(reader.ReadRecord(&type, &payload));
@@ -45,18 +49,12 @@ TEST(WalTest, WriteAndReadRecords) {
 class WalTornTailSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WalTornTailSweep, TruncationYieldsCommittedPrefix) {
-  ScratchDir dir;
-  std::string path = dir.Sub("torn.wal");
   std::vector<std::string> payloads = {"alpha", "bravo", "charlie", "delta"};
-  {
-    auto writer = wal::LogWriter::Open(path, wal::SyncMode::kNone);
-    ASSERT_OK(writer);
-    for (const auto& p : payloads) {
-      ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData, p));
-    }
-    ASSERT_OK((*writer)->Sync());
+  std::vector<std::pair<wal::RecordType, std::string>> records;
+  for (const auto& p : payloads) {
+    records.emplace_back(wal::RecordType::kData, p);
   }
-  ASSERT_OK_AND_ASSIGN(std::string full, ReadFileToString(path));
+  const std::string full = FramedLog(records);
   // Cut `cut` bytes off the tail.
   size_t cut = static_cast<size_t>(GetParam());
   ASSERT_LE(cut, full.size());
@@ -80,16 +78,8 @@ INSTANTIATE_TEST_SUITE_P(CutPoints, WalTornTailSweep,
                          ::testing::Values(0, 1, 2, 3, 5, 8, 11, 12, 20));
 
 TEST(WalTest, CorruptedRecordStopsIteration) {
-  ScratchDir dir;
-  std::string path = dir.Sub("bad.wal");
-  {
-    auto writer = wal::LogWriter::Open(path, wal::SyncMode::kNone);
-    ASSERT_OK(writer);
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData, "good"));
-    ASSERT_OK((*writer)->AppendRecord(wal::RecordType::kData, "soon bad"));
-    ASSERT_OK((*writer)->Sync());
-  }
-  ASSERT_OK_AND_ASSIGN(std::string contents, ReadFileToString(path));
+  std::string contents = FramedLog({{wal::RecordType::kData, "good"},
+                                    {wal::RecordType::kData, "soon bad"}});
   contents[contents.size() - 2] ^= 0x40;  // flip a bit in the last payload
   wal::LogReader reader(contents);
   wal::RecordType type;
@@ -205,11 +195,13 @@ TEST(NoteStoreTest, CrashTruncationRecoversCommittedPrefix) {
       ASSERT_OK(store->Put(&note));
     }
   }
-  // Simulate a torn write: chop arbitrary byte counts off the WAL tail.
-  std::string wal_path = db_dir + "/notes.wal";
-  ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(wal_path));
+  // Simulate a torn write: chop arbitrary byte counts off the log tail.
+  const std::string wal_path = StoreLogSegment(db_dir);
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
+    // Each recovery cuts the torn frame off, so re-read the size.
+    ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(wal_path));
+    if (size < 10) break;
     uint64_t cut = rng.Uniform(size / 2) + 1;
     ASSERT_OK(TruncateFile(wal_path, size - cut));
     ASSERT_OK_AND_ASSIGN(auto store,
@@ -222,8 +214,6 @@ TEST(NoteStoreTest, CrashTruncationRecoversCommittedPrefix) {
     });
     EXPECT_EQ(count, store->total_count());
     EXPECT_LT(count, 30u);
-    size = size - cut;
-    if (size < 10) break;
   }
 }
 
@@ -240,7 +230,7 @@ TEST(NoteStoreTest, BatchIsAtomicUnderTruncation) {
     }
     ASSERT_OK(store->PutBatch(&batch));
   }
-  std::string wal_path = db_dir + "/notes.wal";
+  const std::string wal_path = StoreLogSegment(db_dir);
   ASSERT_OK_AND_ASSIGN(uint64_t size, FileSize(wal_path));
   ASSERT_OK(TruncateFile(wal_path, size - 1));
   ASSERT_OK_AND_ASSIGN(auto store,
@@ -248,6 +238,72 @@ TEST(NoteStoreTest, BatchIsAtomicUnderTruncation) {
   // The single batch record is torn → nothing survives (all-or-nothing).
   EXPECT_EQ(store->total_count(), 0u);
   EXPECT_TRUE(store->stats().recovered_torn_tail);
+}
+
+TEST(NoteStoreTest, DefaultOptionsSyncEveryCommit) {
+  ScratchDir dir;
+  EXPECT_EQ(StoreOptions{}.sync_mode, wal::SyncMode::kGroupCommit);
+  stats::StatRegistry stats;
+  StoreOptions options;
+  options.stats = &stats;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(dir.Sub("db"), options, TestInfo()));
+    const uint64_t syncs_before =
+        stats.GetCounter("Server.WAL.Syncs").value();
+    for (int i = 0; i < 5; ++i) {
+      Note note = StampedDoc("d" + std::to_string(i),
+                             static_cast<uint64_t>(i + 1), i);
+      ASSERT_OK(store->Put(&note));
+    }
+    // A lone committer leads every group: one fsync per commit.
+    EXPECT_EQ(stats.GetCounter("Server.WAL.Syncs").value() - syncs_before,
+              5u);
+    // Dropped without a checkpoint: only the log holds the commits.
+  }
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), options, TestInfo()));
+  EXPECT_EQ(store->note_count(), 5u);
+  ASSERT_OK_AND_ASSIGN(Note note, store->GetByUnid(Unid{0x11, 5}));
+  EXPECT_EQ(note.GetText("Subject"), "d4");
+}
+
+TEST(NoteStoreTest, CheckpointEmptiesOwnLog) {
+  ScratchDir dir;
+  std::string db_dir = dir.Sub("db");
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(db_dir, FastOptions(), TestInfo()));
+    for (int i = 0; i < 20; ++i) {
+      Note note = StampedDoc("c" + std::to_string(i),
+                             static_cast<uint64_t>(i + 1), i);
+      ASSERT_OK(store->Put(&note));
+    }
+    const std::string pre_checkpoint_segment = StoreLogSegment(db_dir);
+    ASSERT_OK(store->Checkpoint());
+    // The segment holding the pre-checkpoint records is gone, and no
+    // segment left holds a data record.
+    EXPECT_FALSE(FileExists(pre_checkpoint_segment));
+    size_t segments = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(db_dir + "/txnlog")) {
+      if (!entry.path().filename().string().starts_with("seg-")) continue;
+      ++segments;
+      ASSERT_OK_AND_ASSIGN(std::string contents,
+                           ReadFileToString(entry.path().string()));
+      wal::LogReader reader(std::move(contents));
+      wal::RecordType type;
+      std::string_view payload;
+      while (reader.ReadRecord(&type, &payload)) {
+        EXPECT_NE(type, wal::RecordType::kData);
+      }
+    }
+    EXPECT_EQ(segments, 1u);
+  }
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(db_dir, FastOptions(), TestInfo()));
+  EXPECT_EQ(store->stats().recovered_records, 0u);
+  EXPECT_EQ(store->note_count(), 20u);
 }
 
 TEST(NoteStoreTest, StubsAndPurge) {

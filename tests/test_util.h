@@ -1,6 +1,7 @@
 #ifndef DOMINODB_TESTS_TEST_UTIL_H_
 #define DOMINODB_TESTS_TEST_UTIL_H_
 
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,22 @@ class ScratchDir {
  private:
   std::string path_;
 };
+
+/// The segment file a standalone store is currently appending to: the
+/// highest-numbered `seg-*.wal` of its own log under `<db_dir>/txnlog`
+/// (empty when there is none).
+inline std::string StoreLogSegment(const std::string& db_dir) {
+  std::string newest;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(db_dir + "/txnlog", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("seg-") && entry.path().string() > newest) {
+      newest = entry.path().string();
+    }
+  }
+  return newest;
+}
 
 /// Quick document builder.
 inline Note MakeDoc(const std::string& form, const std::string& subject,
