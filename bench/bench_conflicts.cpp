@@ -50,7 +50,7 @@ int main() {
         unids.push_back(seed->ReadNote(id)->unid());
       }
       ReplicationScheduler scheduler(ptrs, "bench.nsf");
-      scheduler.SetTopology(MeshTopology(names));
+      if (!scheduler.SetTopology(MeshTopology(names)).ok()) return 1;
       scheduler.RunUntilConverged(5).ok();
 
       // Edit phase: each op edits one distinct document. A clean op edits
@@ -83,7 +83,7 @@ int main() {
         clock.Advance(1000);
         // Replicate between ops so clean edits never collide: only the
         // deliberate double-writes above conflict.
-        if (op % 20 == 19) scheduler.RunRound().ok();
+        if (op % 20 == 19) scheduler.RunAllDue();
       }
 
       auto rounds = scheduler.RunUntilConverged(20);

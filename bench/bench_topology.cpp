@@ -61,15 +61,13 @@ int main() {
           kind == 0   ? HubSpokeTopology(names)
           : kind == 1 ? RingTopology(names)
                       : MeshTopology(names);
-      scheduler.SetTopology(links);
+      if (!scheduler.SetTopology(links).ok()) return 1;
 
       net.ResetStats();
       int rounds = 0;
       ReplicationReport total;
       while (rounds < 32 && !scheduler.Converged()) {
-        auto report = scheduler.RunRound();
-        if (!report.ok()) break;
-        total.MergeFrom(*report);
+        total.MergeFrom(scheduler.RunAllDue().merged);
         ++rounds;
         clock.Advance(1'000'000);
       }

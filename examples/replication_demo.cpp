@@ -25,6 +25,11 @@ Note Invoice(const std::string& region, const std::string& customer,
   return doc;
 }
 
+int Fail(const std::string& what, const std::string& why) {
+  fprintf(stderr, "replication_demo: %s: %s\n", what.c_str(), why.c_str());
+  return 1;
+}
+
 void PrintReport(const char* label, const ReplicationReport& r) {
   printf("%-28s pulled=%zu pushed=%zu conflicts=%zu deletes=%zu "
          "summary=%zu bytes=%llu\n",
@@ -90,10 +95,29 @@ int main(int argc, char** argv) {
 
   clock.Advance(1'000'000);
   printf("\nConcurrent edits on east (111) and west (222):\n");
+  // From here on hq's replicator task runs the sessions, through one
+  // connection document per hub-spoke link. Its retry policy is set before
+  // the topology installs the connections: exponential backoff from 0.5 s
+  // with jitter, and a circuit cool-off matched to the simulated timescale
+  // of the lossy-WAN section below.
+  repl::RetryPolicy policy;
+  policy.base_backoff = 500'000;
+  policy.max_backoff = 4'000'000;
+  policy.jitter_fraction = 0.25;
+  policy.circuit_open_after = 10;
+  policy.circuit_cooloff = 2'000'000;
+  if (Status s = hq.StartReplicator(policy, /*seed=*/7); !s.ok()) {
+    return Fail("start replicator", s.ToString());
+  }
   ReplicationScheduler scheduler({&hq, &east, &west}, "invoices.nsf");
-  scheduler.SetTopology(HubSpokeTopology({"hq", "east", "west"}));
+  Status installed =
+      scheduler.SetTopology(HubSpokeTopology({"hq", "east", "west"}));
+  if (!installed.ok()) return Fail("install topology", installed.ToString());
   auto rounds = scheduler.RunUntilConverged(8);
-  printf("Converged after %d round(s).\n", rounds.ok() ? *rounds : -1);
+  if (!rounds.ok()) {
+    return Fail("conflict convergence", rounds.status().ToString());
+  }
+  printf("Converged after %d round(s).\n", *rounds);
 
   auto winner = hq_db->FormulaSearch(
       "SELECT Customer = \"Customer 0\" & @IsUnavailable($Conflict)");
@@ -108,7 +132,9 @@ int main(int argc, char** argv) {
   auto doomed = hq_db->FormulaSearch("SELECT Customer = \"Customer 1\"");
   hq_db->DeleteNote((*doomed)[0].id()).ok();
   clock.Advance(1'000'000);
-  scheduler.RunUntilConverged(8).ok();
+  if (Status s = scheduler.RunUntilConverged(8).status(); !s.ok()) {
+    return Fail("deletion convergence", s.ToString());
+  }
   printf("east now has %zu invoices, %zu deletion stub(s).\n",
          east_db->note_count(), east_db->stub_count());
 
@@ -126,8 +152,8 @@ int main(int argc, char** argv) {
 
   // Replication over a lossy WAN: 10% of messages vanish, transfers can
   // die halfway, and the hq<->east link takes a scheduled outage. The
-  // replicator task (connection documents + exponential backoff + circuit
-  // breaker) retries until the fleet converges anyway.
+  // replicator task (hq's connection documents, backoff + circuit breaker
+  // per the policy above) retries until the fleet converges anyway.
   printf("\nLossy WAN: 10%% loss, mid-transfer failures, an hq<->east "
          "outage.\n");
   net.SeedFaults(42);
@@ -144,28 +170,17 @@ int main(int argc, char** argv) {
                               10.0 * (i + 1)))
         .ok();
   }
-  repl::RetryPolicy policy;
-  policy.base_backoff = 500'000;  // 0.5 s, doubling per failure
-  policy.max_backoff = 4'000'000;
-  policy.jitter_fraction = 0.25;
-  policy.circuit_open_after = 10;
-  policy.circuit_cooloff = 2'000'000;  // match the simulated timescale
-  hq.StartReplicator(policy, /*seed=*/7).ok();
-  hq.AddConnection(east, "invoices.nsf").ok();
-  hq.AddConnection(west, "invoices.nsf").ok();
-
   int polls = 0;
-  while (polls < 400) {
+  bool converged = false;
+  while (polls < 400 && !converged) {
     ++polls;
-    hq.RunReplicatorDue().ok();
+    scheduler.RunAllDue();
     clock.Advance(250'000);
-    if (hq.replicator()->Quiescent() &&
-        DatabasesConverged({hq_db, east_db, west_db})) {
-      break;
-    }
+    converged = hq.replicator()->Quiescent() && scheduler.Converged();
   }
   printf("Converged after %d poll(s) despite the faults: %s\n", polls,
-         DatabasesConverged({hq_db, east_db, west_db}) ? "yes" : "no");
+         converged ? "yes" : "no");
+  if (!converged) return Fail("lossy-WAN convergence", "gave up at 400 polls");
 
   printf("\nTotal simulated network traffic: %llu bytes in %llu messages.\n",
          static_cast<unsigned long long>(net.total().bytes),

@@ -7,7 +7,9 @@
 # --bench-smoke additionally executes every bench binary with a tiny
 # workload (DOMINO_BENCH_SMOKE=1) inside each sanitizer build, so the
 # bench-only code paths (notably the E14 multi-threaded group-commit
-# driver) get race/UB coverage without full-run cost.
+# driver) get race/UB coverage without full-run cost. It also runs the
+# replication_demo example, which exits non-zero if its fleet does not
+# converge (cleanly or over the lossy WAN).
 #
 # --crash-matrix upgrades the torn-page recovery tests from their
 # sampled default to the exhaustive sweep (DOMINO_CRASH_MATRIX=1: every
@@ -110,5 +112,8 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       DOMINO_BENCH_SMOKE=1 "$BENCH" --benchmark_min_time=0.01s \
         >/dev/null
     done
+    echo "== check.sh: $SANITIZER bench-smoke replication_demo =="
+    "$BUILD_DIR/examples/replication_demo" \
+      "$BUILD_DIR/replication_demo.data" >/dev/null
   fi
 done

@@ -1232,15 +1232,6 @@ size_t Database::UnreadCount(const Principal& who) const {
 // Replication support
 // ---------------------------------------------------------------------------
 
-std::vector<Oid> Database::ChangesSince(Micros cutoff) const {
-  ReadTxn txn(this, /*catch_up=*/false);
-  std::vector<Oid> changes;
-  ScanAt(txn.epoch(), [&](const Note& note) {
-    if (note.modified_in_file() > cutoff) changes.push_back(note.oid());
-  });
-  return changes;
-}
-
 std::vector<Database::Change> Database::ChangeSummarySince(
     Micros cutoff) const {
   ReadTxn txn(this, /*catch_up=*/false);

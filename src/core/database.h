@@ -251,17 +251,15 @@ class Database : public NoteResolver {
   size_t UnreadCount(const Principal& who) const;
 
   // -- Replication support ------------------------------------------------
-  /// OIDs of every note (stubs included) whose sequence time is newer
-  /// than `cutoff` — the change summary exchanged by the replicator.
-  std::vector<Oid> ChangesSince(Micros cutoff) const;
   /// One change-summary entry: the OID plus the modified-in-this-file
   /// stamp that made it part of the summary.
   struct Change {
     Oid oid;
     Micros stamp = 0;
   };
-  /// Like ChangesSince, but ordered by ascending stamp (ties broken by
-  /// UNID) and carrying the stamps. A replication session that processes
+  /// The change summary exchanged by the replicator: every note (stubs
+  /// included) stamped in this file after `cutoff`, ordered by ascending
+  /// stamp (ties broken by UNID). A replication session that processes
   /// entries in this order can record any prefix boundary as a resumable
   /// low-water cutoff: everything stamped at or below it has been seen.
   std::vector<Change> ChangeSummarySince(Micros cutoff) const;

@@ -1,6 +1,5 @@
 #include "formula/formula.h"
 
-#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 
@@ -93,16 +92,6 @@ void ScanForResponseSelectors(const Expr& e, bool* children,
 
 }  // namespace
 
-const FormulaOptions& FormulaOptions::Default() {
-  static const FormulaOptions options = [] {
-    FormulaOptions o;
-    const char* env = std::getenv("DOMINO_FORMULA_VM");
-    if (env != nullptr && env[0] == '0') o.use_vm = false;
-    return o;
-  }();
-  return options;
-}
-
 Result<Formula> Formula::Compile(std::string_view source) {
   Formula f;
   f.source_ = std::string(source);
@@ -124,7 +113,7 @@ Result<Formula> Formula::Compile(std::string_view source) {
 }
 
 Result<Value> Formula::Evaluate(const EvalContext& ctx) const {
-  return Evaluate(ctx, FormulaOptions::Default());
+  return Evaluate(ctx, FormulaOptions());
 }
 
 Result<Value> Formula::Evaluate(const EvalContext& ctx,
@@ -148,7 +137,7 @@ Result<Value> Formula::Evaluate(const EvalContext& ctx,
 }
 
 Result<bool> Formula::Matches(const EvalContext& ctx) const {
-  return Matches(ctx, FormulaOptions::Default());
+  return Matches(ctx, FormulaOptions());
 }
 
 Result<bool> Formula::Matches(const EvalContext& ctx,
@@ -223,7 +212,7 @@ struct BatchEvaluator::Impl {
 };
 
 BatchEvaluator::BatchEvaluator(const Formula& formula)
-    : BatchEvaluator(formula, FormulaOptions::Default()) {}
+    : BatchEvaluator(formula, FormulaOptions()) {}
 
 BatchEvaluator::BatchEvaluator(const Formula& formula,
                                const FormulaOptions& opts)

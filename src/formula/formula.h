@@ -24,10 +24,6 @@ class CompiledFormula;
 /// compiler declines (register overflow — practically unreachable).
 struct FormulaOptions {
   bool use_vm = true;
-
-  /// Process-wide default. `DOMINO_FORMULA_VM=0` in the environment turns
-  /// the VM off globally (sanitizer runs, bisecting engine differences).
-  static const FormulaOptions& Default();
 };
 
 /// Everything a formula evaluation may touch. All pointers are borrowed

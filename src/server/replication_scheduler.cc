@@ -1,6 +1,7 @@
 #include "server/replication_scheduler.h"
 
 #include <map>
+#include <utility>
 
 #include "base/hash.h"
 
@@ -76,65 +77,63 @@ Server* ReplicationScheduler::FindServer(const std::string& name) const {
   return nullptr;
 }
 
-Result<ReplicationReport> ReplicationScheduler::RunRound(
-    const ReplicationOptions& options) {
-  ReplicationReport total;
-  for (const TopologyLink& link : links_) {
+Status ReplicationScheduler::SetTopology(std::vector<TopologyLink> links) {
+  std::vector<std::pair<Server*, Server*>> pairs;
+  for (const TopologyLink& link : links) {
     Server* a = FindServer(link.a);
     Server* b = FindServer(link.b);
     if (a == nullptr || b == nullptr) {
       return Status::NotFound("unknown server in topology: " + link.a +
                               " / " + link.b);
     }
-    DOMINO_ASSIGN_OR_RETURN(ReplicationReport report,
-                            a->ReplicateWith(*b, file_, options));
-    total.MergeFrom(report);
+    pairs.emplace_back(a, b);
   }
-  return total;
-}
-
-Status ReplicationScheduler::InstallConnections(
-    Micros interval, const ReplicationOptions& options,
-    repl::RetryPolicy policy, uint64_t seed) {
-  for (const TopologyLink& link : links_) {
-    Server* a = FindServer(link.a);
-    Server* b = FindServer(link.b);
-    if (a == nullptr || b == nullptr) {
-      return Status::NotFound("unknown server in topology: " + link.a +
-                              " / " + link.b);
-    }
-    DOMINO_RETURN_IF_ERROR(a->StartReplicator(policy, seed));
-    DOMINO_RETURN_IF_ERROR(
-        a->AddConnection(*b, file_, interval, options).status());
+  for (auto [a, b] : pairs) {
+    DOMINO_RETURN_IF_ERROR(a->AddConnection(*b, file_).status());
   }
+  links_ = std::move(links);
   return Status::Ok();
 }
 
-repl::SchedulerRunReport ReplicationScheduler::RunAllDue(Micros now) {
+repl::SchedulerRunReport ReplicationScheduler::RunAllDue() {
   repl::SchedulerRunReport merged;
   for (Server* server : servers_) {
-    if (server->replicator() == nullptr) continue;
-    repl::SchedulerRunReport report = server->replicator()->RunDue(now);
-    merged.attempted += report.attempted;
-    merged.succeeded += report.succeeded;
-    merged.transient_failures += report.transient_failures;
-    merged.permanent_failures += report.permanent_failures;
-    merged.skipped_waiting += report.skipped_waiting;
-    merged.skipped_open += report.skipped_open;
-    merged.skipped_dead += report.skipped_dead;
-    merged.merged.MergeFrom(report.merged);
+    Result<repl::SchedulerRunReport> report = server->RunReplicatorDue();
+    if (!report.ok()) continue;  // no replicator task on this server
+    merged.attempted += report->attempted;
+    merged.succeeded += report->succeeded;
+    merged.transient_failures += report->transient_failures;
+    merged.permanent_failures += report->permanent_failures;
+    merged.skipped_waiting += report->skipped_waiting;
+    merged.skipped_open += report->skipped_open;
+    merged.skipped_dead += report->skipped_dead;
+    merged.merged.MergeFrom(report->merged);
   }
   return merged;
 }
 
-Result<int> ReplicationScheduler::RunUntilConverged(
-    int max_rounds, const ReplicationOptions& options) {
+Result<int> ReplicationScheduler::RunUntilConverged(int max_rounds) {
   for (int round = 1; round <= max_rounds; ++round) {
-    DOMINO_RETURN_IF_ERROR(RunRound(options).status());
+    RunAllDue();
     if (Converged()) return round;
   }
-  return Status::FailedPrecondition("not converged after " +
-                                    std::to_string(max_rounds) + " rounds");
+  std::string message =
+      "not converged after " + std::to_string(max_rounds) + " rounds";
+  for (Server* server : servers_) {
+    const repl::ReplicationScheduler* task = server->replicator();
+    for (size_t i = 0; task != nullptr && i < task->connection_count(); ++i) {
+      const repl::ConnectionState& state = task->state(i);
+      const char* condition =
+          state.dead                                      ? "dead"
+          : state.circuit != repl::CircuitState::kClosed ? "circuit open"
+          : state.consecutive_failures > 0                ? "backing off"
+                                                          : nullptr;
+      if (condition == nullptr || state.doc.file != file_) continue;
+      message += "; " + state.doc.local + " -> " + state.doc.remote + " " +
+                 condition + ": " + state.last_error.ToString();
+    }
+  }
+  return Status::FailedPrecondition(message);
 }
 
 bool ReplicationScheduler::Converged() const { return DatabasesConverged(Replicas()); }

@@ -26,44 +26,35 @@ std::vector<TopologyLink> MeshTopology(const std::vector<std::string>& names);
 /// content, stubs included).
 bool DatabasesConverged(const std::vector<Database*>& replicas);
 
-/// Drives scheduled replication of one database file across a server
-/// topology, like the Domino connection documents + replicator task.
+/// Declares the replication of one database file across a server
+/// topology as Domino connection documents, and polls the servers'
+/// replicator tasks, which run every session. A failing pair backs off,
+/// trips its circuit or is disabled on its own; healthy pairs keep
+/// replicating.
 class ReplicationScheduler {
  public:
   ReplicationScheduler(std::vector<Server*> servers, std::string file)
       : servers_(std::move(servers)), file_(std::move(file)) {}
 
-  void SetTopology(std::vector<TopologyLink> links) {
-    links_ = std::move(links);
-  }
+  /// Registers each link as a connection document (every poll, default
+  /// options) on its first server, starting that server's replicator task
+  /// with the default RetryPolicy unless it already runs. For another
+  /// policy, call Server::StartReplicator first. NotFound if a link names
+  /// a server not in the fleet.
+  Status SetTopology(std::vector<TopologyLink> links);
   const std::vector<TopologyLink>& topology() const { return links_; }
 
-  /// Replicates every link once (in order). Returns the merged report.
-  /// Fail-fast: the first failing session aborts the round — use the
-  /// resilient path (InstallConnections + RunAllDue) when links are lossy.
-  Result<ReplicationReport> RunRound(
-      const ReplicationOptions& options = ReplicationOptions());
+  /// Polls every server's replicator task once at the server's clock and
+  /// merges the run reports. Servers without a task are skipped. With the
+  /// servers listed in topology-name order, one poll runs the links'
+  /// sessions in link order.
+  repl::SchedulerRunReport RunAllDue();
 
-  /// Bridges the static topology into the resilient replicator tasks:
-  /// starts each link's first server's replicator (with `policy`) and
-  /// registers the link as a connection document there. Backoff, circuit
-  /// breaking and permanent-failure quarantine then apply per pair.
-  Status InstallConnections(Micros interval = 0,
-                            const ReplicationOptions& options =
-                                ReplicationOptions(),
-                            repl::RetryPolicy policy = repl::RetryPolicy(),
-                            uint64_t seed = 0);
-
-  /// Polls every server's replicator task once at time `now`; merges the
-  /// per-server run reports. Unlike RunRound, a failing pair only backs
-  /// itself off — healthy pairs still replicate.
-  repl::SchedulerRunReport RunAllDue(Micros now);
-
-  /// Runs rounds until all replicas converge or `max_rounds` is hit.
-  /// Returns the number of rounds executed (error if not converged).
-  Result<int> RunUntilConverged(
-      int max_rounds,
-      const ReplicationOptions& options = ReplicationOptions());
+  /// Polls until all replicas converge or `max_rounds` polls have run.
+  /// Returns the number of polls; if not converged, the error names every
+  /// connection that is dead, backing off or circuit-open, with its last
+  /// error.
+  Result<int> RunUntilConverged(int max_rounds);
 
   bool Converged() const;
   std::vector<Database*> Replicas() const;

@@ -326,7 +326,7 @@ TEST_F(DatabaseFixture, ChangesSinceAndPurge) {
   ASSERT_OK(Create("Memo", "late").status());
   ASSERT_OK(db_->DeleteNote(a));
 
-  auto changes = db_->ChangesSince(cutoff);
+  auto changes = db_->ChangeSummarySince(cutoff);
   EXPECT_EQ(changes.size(), 2u);  // the late note and the stub
 
   // Purge: stub removed once past the purge interval.

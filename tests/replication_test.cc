@@ -503,17 +503,11 @@ TEST_P(TopologySweep, RandomWorkloadConverges) {
   }
 
   ReplicationScheduler scheduler(server_ptrs, "disc.nsf");
-  switch (topology_kind) {
-    case 0:
-      scheduler.SetTopology(HubSpokeTopology(names));
-      break;
-    case 1:
-      scheduler.SetTopology(RingTopology(names));
-      break;
-    default:
-      scheduler.SetTopology(MeshTopology(names));
-      break;
-  }
+  std::vector<TopologyLink> links =
+      topology_kind == 0   ? HubSpokeTopology(names)
+      : topology_kind == 1 ? RingTopology(names)
+                           : MeshTopology(names);
+  ASSERT_OK(scheduler.SetTopology(links));
 
   // Random workload on random replicas, interleaved with replication.
   Rng rng(2026 + topology_kind);
@@ -545,7 +539,7 @@ TEST_P(TopologySweep, RandomWorkloadConverges) {
       }
       clock.Advance(1000);
     }
-    ASSERT_OK(scheduler.RunRound().status());
+    ASSERT_EQ(scheduler.RunAllDue().succeeded, links.size());
     clock.Advance(10'000);
   }
   auto rounds = scheduler.RunUntilConverged(10);
@@ -575,6 +569,57 @@ INSTANTIATE_TEST_SUITE_P(Topologies, TopologySweep,
                                return std::string("Mesh");
                            }
                          });
+
+TEST(TopologySchedulerTest, PartitionedLinkBacksOffWhileOthersReplicate) {
+  ScratchDir dir;
+  SimClock clock(1'000'000'000);
+  SimNet net(&clock);
+  MailDirectory directory;
+  std::vector<std::string> names = {"hq", "east", "west"};
+  std::vector<std::unique_ptr<Server>> servers;
+  std::vector<Server*> server_ptrs;
+  for (const std::string& name : names) {
+    servers.push_back(std::make_unique<Server>(
+        name, dir.Sub(name), &clock, &net, &directory));
+    server_ptrs.push_back(servers.back().get());
+  }
+  ASSERT_OK_AND_ASSIGN(Database * hq,
+                       servers[0]->OpenDatabase("disc.nsf", DatabaseOptions()));
+  for (size_t i = 1; i < servers.size(); ++i) {
+    ASSERT_OK(servers[i]->CreateReplicaOf(*hq, "disc.nsf").status());
+  }
+  ReplicationScheduler scheduler(server_ptrs, "disc.nsf");
+  ASSERT_OK(scheduler.SetTopology(HubSpokeTopology(names)));
+  ASSERT_OK_AND_ASSIGN(NoteId id, hq->CreateNote(MakeDoc("Topic", "news")));
+  ASSERT_OK_AND_ASSIGN(Note created, hq->ReadNote(id));
+  net.SetPartitioned("hq", "east", true);
+
+  // The partitioned pair backs off; hq -> west still replicates. (A
+  // fail-fast round that aborts at the first failing link would leave
+  // west with nothing.)
+  repl::SchedulerRunReport report = scheduler.RunAllDue();
+  EXPECT_EQ(report.transient_failures, 1u);
+  EXPECT_EQ(report.succeeded, 1u);
+  EXPECT_OK(servers[2]->FindDatabase("disc.nsf")
+                ->ReadNoteByUnid(created.unid())
+                .status());
+
+  // With the clock frozen the backoff never elapses; the failure names
+  // the stuck pair and its last error.
+  auto stuck = scheduler.RunUntilConverged(3);
+  ASSERT_FALSE(stuck.ok());
+  const std::string& message = stuck.status().message();
+  EXPECT_NE(message.find("hq -> east backing off"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("Unavailable: link hq <-> east is partitioned"),
+            std::string::npos)
+      << message;
+
+  net.SetPartitioned("hq", "east", false);
+  clock.Advance(repl::RetryPolicy().base_backoff + 1);
+  ASSERT_OK_AND_ASSIGN(int rounds, scheduler.RunUntilConverged(3));
+  EXPECT_EQ(rounds, 1);
+}
 
 TEST(ReplicationHistoryTest, CutoffBookkeeping) {
   ReplicationHistory history;
