@@ -993,21 +993,10 @@ Status Database::EnsureFullTextIndex() {
     if (fulltext_ != nullptr) return Status::Ok();
   }
   auto ft = std::make_shared<FullTextIndex>(registry_);
-  // The paged store materializes notes per call rather than keeping them
-  // resident, so the build needs its own stable copies for the pointer
-  // spans BuildFrom shards across workers.
-  std::vector<Note> copies;
-  copies.reserve(store_->total_count());
-  store_->ForEach([&](const Note& note) { copies.push_back(note); });
-  std::vector<const Note*> notes;
-  notes.reserve(copies.size());
-  for (const Note& note : copies) notes.push_back(&note);
-  indexer::ThreadPool* pool;
-  {
-    MutexLock cat(&catalog_mu_);
-    pool = indexer_pool_;
-  }
-  ft->BuildFrom(notes, pool);
+  // The store scans in note-id order, so every posting insert appends.
+  ft->BuildFrom([this](const std::function<void(const Note&)>& fn) {
+    store_->ForEach(fn);
+  });
   MutexLock cat(&catalog_mu_);
   fulltext_ = std::move(ft);
   return Status::Ok();

@@ -2,25 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "base/string_util.h"
 #include "fulltext/tokenizer.h"
-#include "indexer/thread_pool.h"
 
 namespace dominodb {
 
 namespace {
 
-// Separator making field-scoped keys collision-free with plain terms.
-std::string FieldTermKey(std::string_view field, std::string_view term) {
-  std::string key = ToLower(field);
-  key.push_back('\x1f');
-  key.append(term);
-  return key;
+constexpr uint32_t kFieldPositionGap = 1000;
+
+// Approximate heap cost of one node of an unordered_map keyed by `key`:
+// the node (next pointer, cached hash, key/value pair), its bucket slot,
+// and the key's own buffer once it outgrows the small-string buffer.
+size_t StringKeyNodeBytes(const std::string& key) {
+  constexpr size_t kSmallString = 15;
+  return 3 * sizeof(void*) + sizeof(std::string) + sizeof(uint32_t) +
+         (key.size() > kSmallString ? key.size() + 1 : 0);
 }
 
-constexpr uint32_t kFieldPositionGap = 1000;
+// A term's dictionary entry: its map node plus its slots in postings_
+// and term_names_.
+size_t TermEntryBytes(const std::string& term) {
+  return StringKeyNodeBytes(term) + sizeof(PostingList) +
+         sizeof(const std::string*);
+}
 
 }  // namespace
 
@@ -34,97 +40,60 @@ FullTextIndex::FullTextIndex(stats::StatRegistry* stats) {
   ctr_queries_ = &reg.GetCounter("Database.FullText.Queries");
   ctr_ooo_inserts_ = &reg.GetCounter("Ft.Index.OutOfOrderInserts");
   gauge_bytes_per_doc_ = &reg.GetGauge("Ft.Index.BytesPerDoc");
+  gauge_resident_bytes_ = &reg.GetGauge("Ft.Index.ResidentBytes");
 }
 
-void FullTextIndex::TokenizeNoteInto(const Note& note, IndexShard* shard) {
-  const NoteId id = note.id();
-  uint32_t position = 0;
-  uint32_t length = 0;
-  std::vector<std::string> doc_keys;
-  for (const Item& item : note.items()) {
-    // Occurrences of a term within one item are appended contiguously to
-    // the term's positions vector, so a [begin, end) slice per term is
-    // enough to recover the field-scoped posting later.
-    std::unordered_map<std::string, FieldSlice> field_ranges;
-    auto index_text = [&](const std::string& text) {
-      for (const std::string& token : TokenizeText(text)) {
-        std::vector<uint32_t>& positions =
-            shard->postings[token][id].positions;
-        auto [rit, fresh] = field_ranges.try_emplace(
-            token, FieldSlice{static_cast<uint32_t>(positions.size()), 0});
-        (void)fresh;
-        positions.push_back(position++);
-        rit->second.end = static_cast<uint32_t>(positions.size());
-        ++length;
-        ++shard->tokens;
-      }
-    };
-    if (item.value.is_text()) {
-      for (const std::string& s : item.value.texts()) index_text(s);
-    } else if (item.value.is_richtext()) {
-      for (const RichTextRun& run : item.value.runs()) {
-        index_text(run.text);
-        if (!run.attachment_name.empty()) index_text(run.attachment_name);
-      }
-    }
-    if (!field_ranges.empty()) {
-      position += kFieldPositionGap;  // phrases never span fields
-      for (auto& [term, slice] : field_ranges) {
-        std::string fkey = FieldTermKey(item.name, term);
-        shard->field_postings[fkey][id].push_back(slice);
-        doc_keys.push_back(std::move(fkey));
-        doc_keys.push_back(term);
-      }
-    }
+uint32_t FullTextIndex::InternTerm(const std::string& term) {
+  auto it = term_ids_.find(term);
+  if (it != term_ids_.end()) return it->second;
+  uint32_t id;
+  if (!free_term_ids_.empty()) {
+    id = free_term_ids_.back();
+    free_term_ids_.pop_back();
+  } else {
+    id = static_cast<uint32_t>(postings_.size());
+    postings_.emplace_back();
+    term_names_.push_back(nullptr);
   }
-  shard->terms_of_doc[id] = std::move(doc_keys);
-  shard->doc_lengths[id] = length;
-  shard->docs.push_back(id);
-  ++shard->notes;
+  it = term_ids_.emplace(term, id).first;
+  term_names_[id] = &it->first;
+  dict_bytes_ += TermEntryBytes(term);
+  return id;
 }
 
-void FullTextIndex::MergeShard(IndexShard* shard) {
-  // Plain postings always funnel through PostingList::Insert — that is
-  // where the uncompressed per-doc vectors become delta+varint blocks,
-  // and where out-of-id-order arrivals (shards built in physical order
-  // after compaction relocated notes) get spliced back into sorted order.
-  for (auto& [term, pm] : shard->postings) {
-    PostingList& list = postings_[term];
-    posting_bytes_ -= list.byte_size();
-    model_bytes_ -= list.UncompressedModelBytes();
-    for (auto& [doc, posting] : pm) {
-      if (list.Insert(doc, posting.positions)) ctr_ooo_inserts_->Add();
-    }
-    posting_bytes_ += list.byte_size();
-    model_bytes_ += list.UncompressedModelBytes();
+void FullTextIndex::ReleaseTerm(uint32_t id) {
+  const std::string& term = *term_names_[id];
+  dict_bytes_ -= TermEntryBytes(term);
+  term_ids_.erase(term_ids_.find(term));
+  term_names_[id] = nullptr;
+  postings_[id] = PostingList();
+  free_term_ids_.push_back(id);
+}
+
+uint32_t FullTextIndex::InternField(std::string_view name) {
+  std::string lowered = ToLower(name);
+  auto it = field_ids_.find(lowered);
+  if (it != field_ids_.end()) return it->second;
+  const uint32_t id = static_cast<uint32_t>(field_ids_.size());
+  dict_bytes_ += StringKeyNodeBytes(lowered);
+  field_ids_.emplace(std::move(lowered), id);
+  return id;
+}
+
+void FullTextIndex::AppendTokens(std::string_view text, uint32_t* position) {
+  size_t pos = 0;
+  while (NextToken(text, &pos, &token_buf_)) {
+    hit_buf_.push_back(
+        TermPosition{InternTerm(token_buf_), (*position)++});
   }
-  // First shard into an empty index: adopt the side maps wholesale
-  // instead of merging key by key (the common case for a fresh
-  // BuildFrom).
-  if (field_postings_.empty() && terms_of_doc_.empty()) {
-    field_postings_ = std::move(shard->field_postings);
-    terms_of_doc_ = std::move(shard->terms_of_doc);
-    for (auto& [id, length] : shard->doc_lengths) doc_lengths_[id] = length;
-    for (NoteId id : shard->docs) docs_.insert(id);
-    return;
-  }
-  // Note ids are disjoint across shards (and RemoveNote precedes any
-  // re-index), so merging splices map nodes without key conflicts.
-  for (auto& [fkey, fpm] : shard->field_postings) {
-    auto [it, inserted] = field_postings_.try_emplace(fkey, std::move(fpm));
-    if (!inserted) it->second.merge(fpm);
-  }
-  for (auto& [id, keys] : shard->terms_of_doc) {
-    terms_of_doc_[id] = std::move(keys);
-  }
-  for (auto& [id, length] : shard->doc_lengths) doc_lengths_[id] = length;
-  for (NoteId id : shard->docs) docs_.insert(id);
 }
 
 void FullTextIndex::RefreshByteStats() {
   gauge_bytes_per_doc_->Set(
       docs_.empty() ? 0
                     : static_cast<int64_t>(posting_bytes_ / docs_.size()));
+  gauge_resident_bytes_->Set(
+      static_cast<int64_t>(posting_bytes_ + record_bytes_ + dict_bytes_));
 }
 
 void FullTextIndex::IndexNote(const Note& note) {
@@ -135,15 +104,73 @@ void FullTextIndex::IndexNote(const Note& note) {
 void FullTextIndex::IndexNoteLocked(const Note& note) {
   // Re-indexing a known document is an incremental merge into the
   // postings (the GTR-style "index merge").
-  const bool merge = terms_of_doc_.count(note.id()) != 0;
-  RemoveNoteLocked(note.id());
+  const NoteId id = note.id();
+  const bool merge = records_.count(id) != 0;
+  RemoveNoteLocked(id);
   if (note.deleted() || note.note_class() != NoteClass::kDocument) return;
   if (merge) ctr_merges_->Add();
 
-  IndexShard shard;
-  TokenizeNoteInto(note, &shard);
-  const uint64_t tokens = shard.tokens;
-  MergeShard(&shard);
+  // Tokenize into flat (term id, position) pairs. Each item's tokens
+  // occupy one range of positions, and a gap follows every item that had
+  // any, so phrases never span fields.
+  DocRecord record;
+  hit_buf_.clear();
+  uint32_t position = 0;
+  for (const Item& item : note.items()) {
+    const uint32_t begin = position;
+    if (item.value.is_text()) {
+      for (const std::string& s : item.value.texts()) {
+        AppendTokens(s, &position);
+      }
+    } else if (item.value.is_richtext()) {
+      for (const RichTextRun& run : item.value.runs()) {
+        AppendTokens(run.text, &position);
+        if (!run.attachment_name.empty()) {
+          AppendTokens(run.attachment_name, &position);
+        }
+      }
+    }
+    if (position != begin) {
+      record.fields.push_back(FieldRange{InternField(item.name), begin,
+                                         position});
+      position += kFieldPositionGap;
+    }
+  }
+  record.length = static_cast<uint32_t>(hit_buf_.size());
+
+  // Group by term (positions stay ascending within a term), then hand
+  // each term's positions to its posting list.
+  std::sort(hit_buf_.begin(), hit_buf_.end(),
+            [](const TermPosition& a, const TermPosition& b) {
+              return a.term != b.term ? a.term < b.term
+                                      : a.position < b.position;
+            });
+  size_t distinct = 0;
+  for (size_t i = 0; i < hit_buf_.size(); ++i) {
+    if (i == 0 || hit_buf_[i].term != hit_buf_[i - 1].term) {
+      ++distinct;
+    }
+  }
+  record.terms.reserve(distinct);
+  for (size_t i = 0; i < hit_buf_.size();) {
+    const uint32_t term = hit_buf_[i].term;
+    position_buf_.clear();
+    for (; i < hit_buf_.size() && hit_buf_[i].term == term; ++i) {
+      position_buf_.push_back(hit_buf_[i].position);
+    }
+    PostingList& list = postings_[term];
+    posting_bytes_ -= list.byte_size();
+    model_bytes_ -= list.UncompressedModelBytes();
+    if (list.Insert(id, position_buf_)) ctr_ooo_inserts_->Add();
+    posting_bytes_ += list.byte_size();
+    model_bytes_ += list.UncompressedModelBytes();
+    record.terms.push_back(term);
+  }
+
+  const uint64_t tokens = record.length;
+  record_bytes_ += RecordBytes(record);
+  records_.emplace(id, std::move(record));
+  docs_.insert(docs_.end(), id);
   stats_.tokens_indexed += tokens;
   ++stats_.notes_indexed;
   ctr_docs_indexed_->Add();
@@ -151,50 +178,14 @@ void FullTextIndex::IndexNoteLocked(const Note& note) {
   RefreshByteStats();
 }
 
-void FullTextIndex::BuildFrom(const std::vector<const Note*>& notes,
-                              indexer::ThreadPool* pool) {
-  // Exclusive for the whole rebuild; workers only touch their own shards,
-  // so holding the lock across RunAndWait is safe (they never re-enter
-  // this index).
+void FullTextIndex::BuildFrom(
+    const std::function<void(const std::function<void(const Note&)>&)>&
+        for_each_note) {
   WriterLock lock(&mu_);
   ClearLocked();
-  if (pool == nullptr) {
-    for (const Note* note : notes) {
-      if (note != nullptr) IndexNoteLocked(*note);
-    }
-    return;
-  }
-  std::vector<const Note*> docs;
-  docs.reserve(notes.size());
-  for (const Note* note : notes) {
-    if (note != nullptr && !note->deleted() &&
-        note->note_class() == NoteClass::kDocument) {
-      docs.push_back(note);
-    }
-  }
-  const size_t shard_count =
-      std::max<size_t>(1, std::min(pool->num_threads(), docs.size()));
-  std::vector<IndexShard> shards(shard_count);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shard_count);
-  for (size_t s = 0; s < shard_count; ++s) {
-    const size_t begin = docs.size() * s / shard_count;
-    const size_t end = docs.size() * (s + 1) / shard_count;
-    tasks.push_back([&docs, &shards, s, begin, end] {
-      for (size_t i = begin; i < end; ++i) {
-        TokenizeNoteInto(*docs[i], &shards[s]);
-      }
-    });
-  }
-  pool->RunAndWait(std::move(tasks));
-  for (IndexShard& shard : shards) {
-    stats_.notes_indexed += shard.notes;
-    stats_.tokens_indexed += shard.tokens;
-    ctr_docs_indexed_->Add(shard.notes);
-    ctr_tokens_->Add(shard.tokens);
-    MergeShard(&shard);
-  }
-  RefreshByteStats();
+  for_each_note([this](const Note& note) NO_THREAD_SAFETY_ANALYSIS {
+    IndexNoteLocked(note);  // `lock` is held for the whole scan
+  });
 }
 
 void FullTextIndex::RemoveNote(NoteId id) {
@@ -203,33 +194,22 @@ void FullTextIndex::RemoveNote(NoteId id) {
 }
 
 void FullTextIndex::RemoveNoteLocked(NoteId id) {
-  auto it = terms_of_doc_.find(id);
-  if (it == terms_of_doc_.end()) return;
-  for (const std::string& key : it->second) {
-    if (key.find('\x1f') != std::string::npos) {
-      auto fit = field_postings_.find(key);
-      if (fit != field_postings_.end()) {
-        fit->second.erase(id);
-        if (fit->second.empty()) field_postings_.erase(fit);
-      }
+  auto it = records_.find(id);
+  if (it == records_.end()) return;
+  for (uint32_t term : it->second.terms) {
+    PostingList& list = postings_[term];
+    posting_bytes_ -= list.byte_size();
+    model_bytes_ -= list.UncompressedModelBytes();
+    list.Erase(id);
+    if (list.empty()) {
+      ReleaseTerm(term);
     } else {
-      auto pit = postings_.find(key);
-      if (pit != postings_.end()) {
-        PostingList& list = pit->second;
-        posting_bytes_ -= list.byte_size();
-        model_bytes_ -= list.UncompressedModelBytes();
-        list.Erase(id);
-        if (list.empty()) {
-          postings_.erase(pit);
-        } else {
-          posting_bytes_ += list.byte_size();
-          model_bytes_ += list.UncompressedModelBytes();
-        }
-      }
+      posting_bytes_ += list.byte_size();
+      model_bytes_ += list.UncompressedModelBytes();
     }
   }
-  terms_of_doc_.erase(it);
-  doc_lengths_.erase(id);
+  record_bytes_ -= RecordBytes(it->second);
+  records_.erase(it);
   docs_.erase(id);
   ++stats_.notes_removed;
   ctr_docs_removed_->Add();
@@ -242,24 +222,37 @@ void FullTextIndex::Clear() {
 }
 
 void FullTextIndex::ClearLocked() {
+  term_ids_.clear();
+  term_names_.clear();
   postings_.clear();
-  field_postings_.clear();
-  terms_of_doc_.clear();
-  doc_lengths_.clear();
+  free_term_ids_.clear();
+  field_ids_.clear();
+  records_.clear();
   docs_.clear();
   posting_bytes_ = 0;
   model_bytes_ = 0;
+  record_bytes_ = 0;
+  dict_bytes_ = 0;
   RefreshByteStats();
+}
+
+size_t FullTextIndex::RecordBytes(const DocRecord& record) {
+  // Map node (next pointer, bucket slot, key/value pair), the docs_ set
+  // node, and the two vectors' buffers.
+  constexpr size_t kSetNode = 4 * sizeof(void*) + sizeof(NoteId);
+  return 2 * sizeof(void*) + sizeof(std::pair<const NoteId, DocRecord>) +
+         kSetNode + record.terms.capacity() * sizeof(uint32_t) +
+         record.fields.capacity() * sizeof(FieldRange);
 }
 
 size_t FullTextIndex::doc_count() const {
   ReaderLock lock(&mu_);
-  return doc_lengths_.size();
+  return docs_.size();
 }
 
 size_t FullTextIndex::term_count() const {
   ReaderLock lock(&mu_);
-  return postings_.size();
+  return term_ids_.size();
 }
 
 size_t FullTextIndex::ByteUsage() const {
@@ -272,31 +265,43 @@ size_t FullTextIndex::UncompressedModelBytes() const {
   return model_bytes_;
 }
 
+size_t FullTextIndex::ResidentBytes() const {
+  ReaderLock lock(&mu_);
+  return posting_bytes_ + record_bytes_ + dict_bytes_;
+}
+
 const PostingList* FullTextIndex::FindTerm(const std::string& term) const {
-  auto it = postings_.find(ToLower(term));
-  return it == postings_.end() ? nullptr : &it->second;
+  auto it = term_ids_.find(ToLower(term));
+  return it == term_ids_.end() ? nullptr : &postings_[it->second];
 }
 
 FullTextIndex::PostingMap FullTextIndex::MaterializeFieldTerm(
     const std::string& field, const std::string& term) const {
   PostingMap out;
-  const std::string lowered = ToLower(term);
-  auto fit = field_postings_.find(FieldTermKey(field, lowered));
-  if (fit == field_postings_.end()) return out;
-  auto pit = postings_.find(lowered);
-  if (pit == postings_.end()) return out;
-  // The field map is sorted by doc, so one forward cursor pass decodes
-  // each needed posting exactly once.
-  PostingList::Cursor cursor = pit->second.NewCursor();
-  for (const auto& [doc, slices] : fit->second) {
-    cursor.SkipTo(doc);
-    if (cursor.doc() != doc) continue;
-    const std::vector<uint32_t>& all = cursor.positions();
-    std::vector<uint32_t>& positions = out[doc].positions;
-    for (const FieldSlice& slice : slices) {
-      if (slice.end > all.size() || slice.begin > slice.end) continue;
-      positions.insert(positions.end(), all.begin() + slice.begin,
-                       all.begin() + slice.end);
+  auto fit = field_ids_.find(ToLower(field));
+  if (fit == field_ids_.end()) return out;
+  const PostingList* list = FindTerm(term);
+  if (list == nullptr) return out;
+  const uint32_t field_id = fit->second;
+  // One cursor pass over the term's postings; a document's positions are
+  // decoded only when it has an item of this field.
+  for (PostingList::Cursor cursor = list->NewCursor(); !cursor.at_end();
+       cursor.Next()) {
+    const NoteId doc = static_cast<NoteId>(cursor.doc());
+    auto rit = records_.find(doc);
+    if (rit == records_.end()) continue;
+    std::vector<uint32_t>* positions = nullptr;
+    for (const FieldRange& range : rit->second.fields) {
+      if (range.field != field_id) continue;
+      const std::vector<uint32_t>& all = cursor.positions();
+      auto lo = std::lower_bound(all.begin(), all.end(), range.begin);
+      auto hi = std::lower_bound(lo, all.end(), range.end);
+      if (lo == hi) continue;
+      if (positions == nullptr) {
+        positions = &out.emplace_hint(out.end(), doc, Posting{})
+                         ->second.positions;
+      }
+      positions->insert(positions->end(), lo, hi);
     }
   }
   return out;

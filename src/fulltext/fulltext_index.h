@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -15,10 +17,6 @@
 #include "fulltext/postings.h"
 #include "model/note.h"
 #include "stats/stats.h"
-
-namespace dominodb::indexer {
-class ThreadPool;
-}  // namespace dominodb::indexer
 
 namespace dominodb {
 
@@ -63,14 +61,13 @@ class FullTextIndex {
   void RemoveNote(NoteId id);
   void Clear();
 
-  /// Full rebuild (UPDALL-style). With a pool, notes are partitioned into
-  /// contiguous shards, each worker tokenizes its shard into shard-local
-  /// posting maps, and the coordinator splices the shards together — note
-  /// ids are disjoint across shards so the merge moves nodes instead of
-  /// re-tokenizing. Without a pool this is a plain serial loop and
-  /// produces bit-identical state.
-  void BuildFrom(const std::vector<const Note*>& notes,
-                 indexer::ThreadPool* pool = nullptr);
+  /// Full rebuild (UPDALL-style): clears the index, then indexes every
+  /// note `for_each_note` yields, through the same path as IndexNote.
+  /// Notes yielded in ascending id order (the store's scan order) keep
+  /// every posting insert on PostingList's append path.
+  void BuildFrom(
+      const std::function<void(const std::function<void(const Note&)>&)>&
+          for_each_note);
 
   /// Runs a query; results are sorted by descending TF-IDF score.
   Result<std::vector<FtHit>> Search(std::string_view query) const;
@@ -87,6 +84,11 @@ class FullTextIndex {
   size_t ByteUsage() const;
   size_t UncompressedModelBytes() const;
 
+  /// Everything the index keeps resident: the postings (ByteUsage), the
+  /// per-document records and the term/field dictionary. Published as
+  /// the `Ft.Index.ResidentBytes` gauge.
+  size_t ResidentBytes() const;
+
   // -- Internals shared with the query evaluator ------------------------
   struct Posting {
     // Positions of the term in the document (token offsets; fields are
@@ -95,69 +97,77 @@ class FullTextIndex {
   };
   using PostingMap = std::map<NoteId, Posting>;
 
-  /// Field-scoped occurrences are stored as index ranges into the
-  /// unscoped posting's positions vector instead of duplicating the
-  /// positions: a term's occurrences within one field are contiguous in
-  /// the (sorted, append-only) positions vector, so [begin, end) slices
-  /// recover them exactly. Multiple same-named items yield multiple
-  /// slices.
-  struct FieldSlice {
-    uint32_t begin = 0;
-    uint32_t end = 0;
-  };
-  using FieldPostingMap = std::map<NoteId, std::vector<FieldSlice>>;
-
   /// The term's compressed posting list; null when the term is unknown.
   /// Query evaluation iterates it with PostingList::Cursor.
   const PostingList* FindTerm(const std::string& term) const;
-  /// Reconstitutes a `FIELD name CONTAINS term` posting map from the
-  /// slices; empty when the (field, term) pair never occurs.
+  /// Reconstitutes a `FIELD name CONTAINS term` posting map: the term's
+  /// positions that fall inside the document's ranges for the field
+  /// (matched case-insensitively); empty when the pair never occurs.
   PostingMap MaterializeFieldTerm(const std::string& field,
                                   const std::string& term) const;
   const std::set<NoteId>& all_docs() const { return docs_; }
   double IdfOf(const std::string& term) const;
 
  private:
-  /// Shard-local slice of the index a worker tokenizes into. Also used
-  /// (with a single note) by the incremental IndexNote path so the two
-  /// paths share one tokenizer. Shards stay uncompressed (tokenization
-  /// appends position by position); compression happens once per (term,
-  /// doc) when the shard merges into the index.
-  struct IndexShard {
-    std::unordered_map<std::string, PostingMap> postings;
-    std::unordered_map<std::string, FieldPostingMap> field_postings;
-    std::unordered_map<NoteId, std::vector<std::string>> terms_of_doc;
-    std::unordered_map<NoteId, uint32_t> doc_lengths;
-    std::vector<NoteId> docs;
-    uint64_t tokens = 0;
-    uint64_t notes = 0;
+  /// The positions [begin, end) one indexed item's tokens occupy. `field`
+  /// is the item name's id in field_ids_; same-named items give several
+  /// ranges.
+  struct FieldRange {
+    uint32_t field = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  /// All the index keeps per document besides its postings.
+  struct DocRecord {
+    uint32_t length = 0;             // tokens indexed
+    std::vector<uint32_t> terms;     // sorted, distinct term ids
+    std::vector<FieldRange> fields;  // one per indexed item, in order
+  };
+  /// One token occurrence while a note is tokenized.
+  struct TermPosition {
+    uint32_t term = 0;
+    uint32_t position = 0;
   };
 
-  static void TokenizeNoteInto(const Note& note, IndexShard* shard);
   void IndexNoteLocked(const Note& note) REQUIRES(mu_);
   void RemoveNoteLocked(NoteId id) REQUIRES(mu_);
   void ClearLocked() REQUIRES(mu_);
-  void MergeShard(IndexShard* shard) REQUIRES(mu_);
+  /// Appends `text`'s tokens to hit_buf_, numbering from `*position`.
+  void AppendTokens(std::string_view text, uint32_t* position) REQUIRES(mu_);
+  uint32_t InternTerm(const std::string& term) REQUIRES(mu_);
+  uint32_t InternField(std::string_view name) REQUIRES(mu_);
+  /// Returns an emptied term's id to the free list.
+  void ReleaseTerm(uint32_t id) REQUIRES(mu_);
   void RefreshByteStats() REQUIRES(mu_);
+  /// Heap a record costs, counted into record_bytes_.
+  static size_t RecordBytes(const DocRecord& record);
 
   /// Guards the containers below. The fields themselves stay unannotated
   /// so the lock-free evaluator internals (see class comment) compile;
   /// the REQUIRES on the Locked helpers still pins the write discipline.
   mutable SharedMutex mu_;
 
-  // term → compressed postings. Field-scoped slices live under
-  // "field\x1f" + term in field_postings_ and reference positions stored
-  // here exactly once.
-  std::unordered_map<std::string, PostingList> postings_;
-  std::unordered_map<std::string, FieldPostingMap> field_postings_;
-  // Keys this doc contributed to: plain terms and "field\x1fterm" keys
-  // (the latter marked by the embedded '\x1f').
-  std::unordered_map<NoteId, std::vector<std::string>> terms_of_doc_;
-  std::unordered_map<NoteId, uint32_t> doc_lengths_;
+  // The term dictionary: term -> id, id -> compressed postings. An id
+  // whose last document is removed leaves the dictionary and is reused.
+  std::unordered_map<std::string, uint32_t> term_ids_;
+  std::vector<const std::string*> term_names_;  // id -> key in term_ids_
+  std::vector<PostingList> postings_;
+  std::vector<uint32_t> free_term_ids_;
+  // Lower-cased item name -> field id (FieldRange::field).
+  std::unordered_map<std::string, uint32_t> field_ids_;
+  std::unordered_map<NoteId, DocRecord> records_;
   std::set<NoteId> docs_;
   mutable FtStats stats_;
   size_t posting_bytes_ = 0;  // sum of PostingList::byte_size()
   size_t model_bytes_ = 0;    // sum of UncompressedModelBytes()
+  size_t record_bytes_ = 0;   // DocRecords, counted with their map nodes
+  size_t dict_bytes_ = 0;     // term and field dictionary entries
+
+  // Tokenizer buffers, reused across notes so tokenizing allocates only
+  // for terms the dictionary has not seen.
+  std::string token_buf_;
+  std::vector<TermPosition> hit_buf_;
+  std::vector<uint32_t> position_buf_;
 
   // Server-wide mirrors of FtStats (dotted Domino stat names).
   stats::Counter* ctr_docs_indexed_;
@@ -167,6 +177,7 @@ class FullTextIndex {
   stats::Counter* ctr_queries_;
   stats::Counter* ctr_ooo_inserts_;
   stats::Gauge* gauge_bytes_per_doc_;
+  stats::Gauge* gauge_resident_bytes_;
 };
 
 }  // namespace dominodb

@@ -6,18 +6,31 @@
 
 namespace dominodb {
 
+namespace {
+
+bool IsTokenChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0;
+}
+
+}  // namespace
+
+bool NextToken(std::string_view text, size_t* pos, std::string* token) {
+  while (*pos < text.size()) {
+    token->clear();
+    while (*pos < text.size() && !IsTokenChar(text[*pos])) ++*pos;
+    while (*pos < text.size() && IsTokenChar(text[*pos])) {
+      token->push_back(AsciiToLower(text[(*pos)++]));
+    }
+    if (token->size() >= 2) return true;
+  }
+  return false;
+}
+
 std::vector<std::string> TokenizeText(std::string_view text) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current.push_back(AsciiToLower(c));
-    } else if (!current.empty()) {
-      if (current.size() >= 2) tokens.push_back(current);
-      current.clear();
-    }
-  }
-  if (current.size() >= 2) tokens.push_back(current);
+  std::string token;
+  size_t pos = 0;
+  while (NextToken(text, &pos, &token)) tokens.push_back(token);
   return tokens;
 }
 

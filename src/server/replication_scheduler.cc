@@ -77,7 +77,8 @@ Server* ReplicationScheduler::FindServer(const std::string& name) const {
   return nullptr;
 }
 
-Status ReplicationScheduler::SetTopology(std::vector<TopologyLink> links) {
+Status ReplicationScheduler::SetTopology(
+    const std::vector<TopologyLink>& links) {
   std::vector<std::pair<Server*, Server*>> pairs;
   for (const TopologyLink& link : links) {
     Server* a = FindServer(link.a);
@@ -91,7 +92,6 @@ Status ReplicationScheduler::SetTopology(std::vector<TopologyLink> links) {
   for (auto [a, b] : pairs) {
     DOMINO_RETURN_IF_ERROR(a->AddConnection(*b, file_).status());
   }
-  links_ = std::move(links);
   return Status::Ok();
 }
 

@@ -41,8 +41,7 @@ class ReplicationScheduler {
   /// with the default RetryPolicy unless it already runs. For another
   /// policy, call Server::StartReplicator first. NotFound if a link names
   /// a server not in the fleet.
-  Status SetTopology(std::vector<TopologyLink> links);
-  const std::vector<TopologyLink>& topology() const { return links_; }
+  Status SetTopology(const std::vector<TopologyLink>& links);
 
   /// Polls every server's replicator task once at the server's clock and
   /// merges the run reports. Servers without a task are skipped. With the
@@ -64,7 +63,6 @@ class ReplicationScheduler {
 
   std::vector<Server*> servers_;
   std::string file_;
-  std::vector<TopologyLink> links_;
 };
 
 }  // namespace dominodb

@@ -127,7 +127,10 @@ TEST(IndexerTaskTest, BackgroundDrainAppliesEvents) {
       },
       &reg);
   for (NoteId id = 1; id <= 20; ++id) {
-    task.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kChanged});
+    task.Enqueue(indexer::NoteChange{.id = id,
+                                     .kind = indexer::ChangeKind::kChanged,
+                                     .epoch = kEpochNone,
+                                     .note = nullptr});
   }
   // DrainInline from this thread acts as the deterministic barrier.
   {
@@ -149,7 +152,10 @@ TEST(IndexerTaskTest, CloseWithQueuedWorkDoesNotHang) {
       &pool, [](indexer::IndexerTask* t) { t->DrainInline([](auto&) {}); },
       nullptr);
   for (NoteId id = 1; id <= 100; ++id) {
-    task.Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kChanged});
+    task.Enqueue(indexer::NoteChange{.id = id,
+                                     .kind = indexer::ChangeKind::kChanged,
+                                     .epoch = kEpochNone,
+                                     .note = nullptr});
   }
   task.Close();  // must wait for in-flight callbacks and return
   EXPECT_FALSE(task.HasPending());
@@ -306,8 +312,10 @@ TEST_F(IndexerTwinFixture, BackgroundCountersMatchSyncWithoutDeletes) {
 TEST_F(IndexerTwinFixture, ParallelRebuildMatchesSerial) {
   auto serial_db = OpenDb("serial");
   auto par_db = OpenDb("par");
-  // Attach BEFORE the views exist: CreateView's initial Rebuild and
-  // EnsureFullTextIndex's build then take the data-parallel path.
+  // Attach BEFORE the views exist: CreateView's initial Rebuild then takes
+  // the data-parallel path. EnsureFullTextIndex builds serially whether or
+  // not a pool is attached, so its checks pin that attaching changes
+  // nothing.
   par_db->AttachIndexer(&pool_);
   for (Database* db : {serial_db.get(), par_db.get()}) {
     RunWorkload(db);
@@ -494,7 +502,7 @@ TEST_F(IndexerTwinFixture, ConcurrentWritersAndReadersStayConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// Field-scoped postings as slices
+// Field-scoped postings from per-document field ranges
 // ---------------------------------------------------------------------------
 
 TEST(FieldSliceTest, FieldPostingsMaterializeFromPlainPositions) {
@@ -505,8 +513,8 @@ TEST(FieldSliceTest, FieldPostingsMaterializeFromPlainPositions) {
   note.SetText("Body", "gamma alpha");
   index.IndexNote(note);
 
-  // Only plain terms count toward term_count — field-scoped entries are
-  // slices, not duplicated postings.
+  // Only plain terms count toward term_count — field scoping comes from
+  // each document's field ranges, not duplicated postings.
   EXPECT_EQ(index.term_count(), 3u);  // alpha, beta, gamma
 
   const PostingList* plain = index.FindTerm("alpha");
@@ -520,7 +528,7 @@ TEST(FieldSliceTest, FieldPostingsMaterializeFromPlainPositions) {
       index.MaterializeFieldTerm("Subject", "alpha");
   ASSERT_EQ(subject.count(7), 1u);
   EXPECT_EQ(subject.at(7).positions.size(), 2u);
-  // The slice references the same stored positions.
+  // The field view holds the same stored positions.
   EXPECT_EQ(subject.at(7).positions[0], plain_positions[0]);
   EXPECT_EQ(subject.at(7).positions[1], plain_positions[1]);
 
@@ -530,7 +538,7 @@ TEST(FieldSliceTest, FieldPostingsMaterializeFromPlainPositions) {
   EXPECT_TRUE(index.MaterializeFieldTerm("Subject", "gamma").empty());
   EXPECT_TRUE(index.MaterializeFieldTerm("Nope", "alpha").empty());
 
-  // Removal drops both representations.
+  // Removal drops the term and its field view.
   index.RemoveNote(7);
   EXPECT_EQ(index.FindTerm("alpha"), nullptr);
   EXPECT_TRUE(index.MaterializeFieldTerm("Subject", "alpha").empty());
