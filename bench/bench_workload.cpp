@@ -297,7 +297,10 @@ SweepResult RunPoint(int users, int num_servers, int ops_per_user) {
     const MailStats& mail = server->router()->stats();
     delivered += mail.delivered;
     dead += mail.dead_lettered;
-    if (server->router()->mailbox()->note_count() != 0) {
+    // The router erases what it routes: a drained mail.box holds no
+    // memo and no deletion stub.
+    const Database* box = server->router()->mailbox();
+    if (box->note_count() != 0 || box->stub_count() != 0) {
       Violation("mail.box not drained on " + server->name());
     }
   }

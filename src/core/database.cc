@@ -510,11 +510,14 @@ void Database::RecordPreImage(NoteId id) {
 }
 
 NoteHandle Database::ResolveAt(NoteId id, Epoch at) const {
-  // Fetch the store state BEFORE consulting the overlay: a racing commit
-  // records its pre-image before it touches the store, so whichever
-  // interleaving this read observes, one of the two sources carries the
-  // state at `at` — and Lookup tells us which.
-  NoteHandle current = store_->Find(id);
+  return ResolveAt(id, at, store_->Find(id));
+}
+
+NoteHandle Database::ResolveAt(NoteId id, Epoch at, NoteHandle current) const {
+  // `current` was fetched from the store BEFORE the overlay is consulted
+  // here: a racing commit records its pre-image before it touches the
+  // store, so whichever interleaving this read observes, one of the two
+  // sources carries the state at `at` — and Lookup tells us which.
   MvccSnapshots::Resolution r = mvcc_.Lookup(id, at);
   switch (r.verdict) {
     case MvccSnapshots::Verdict::kUseStore:
@@ -529,7 +532,7 @@ NoteHandle Database::ResolveAt(NoteId id, Epoch at) const {
 
 NoteHandle Database::ResolveUnidAt(const Unid& unid, Epoch at) const {
   NoteHandle current = store_->FindByUnid(unid);
-  if (current != nullptr) return ResolveAt(current->id(), at);
+  if (current != nullptr) return ResolveAt(current->id(), at, current);
   // Not in the store — never existed, or purged after the pin; the
   // overlay remembers the UNID binding of every recorded pre-image.
   std::optional<NoteId> id = mvcc_.LookupUnid(unid);
@@ -1002,10 +1005,6 @@ Status Database::EnsureFullTextIndex() {
   return Status::Ok();
 }
 
-bool Database::HasFullTextIndex() const {
-  return SnapshotFulltext() != nullptr;
-}
-
 const FullTextIndex* Database::fulltext() const {
   return SnapshotFulltext().get();
 }
@@ -1298,38 +1297,41 @@ Result<size_t> Database::PurgeStubs() {
       purged.push_back(note.id());
     }
   });
-  std::shared_ptr<indexer::IndexerTask> task = SnapshotIndexer();
-  for (NoteId id : purged) {
-    // Pre-image first: readers pinned before this commit keep resolving
-    // the stub (and its UNID) through the overlay until they unpin.
-    RecordPreImage(id);
-    DOMINO_RETURN_IF_ERROR(store_->Erase(id));
-    {
-      MutexLock lock(&catalog_mu_);
-      for (auto& [parent, kids] : children_) kids.erase(id);
-    }
-    if (task != nullptr) {
-      // Route the erase through the indexer queue so it stays ordered
-      // behind any still-pending kChanged for the same note; removing
-      // from the indexes synchronously would let such a queued update
-      // resurrect the purged note there.
-      task->Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kErased,
-                                        commit_epoch_, nullptr});
-    } else {
-      for (const auto& view : SnapshotViews()) {
-        view->Remove(id, commit_epoch_);
-      }
-      if (auto ft = SnapshotFulltext()) ft->RemoveNote(id);
-    }
-    MutexLock lock(&notify_mu_);
-    if (!observers_.empty()) {
-      PendingNotify n;
-      n.erased_id = id;
-      pending_notify_.push_back(std::move(n));
-    }
-  }
+  for (NoteId id : purged) DOMINO_RETURN_IF_ERROR(EraseNote(id));
   ctr_stubs_purged_->Add(purged.size());
   return purged.size();
+}
+
+Status Database::EraseNote(NoteId id) {
+  MutationGuard guard(this);
+  // Pre-image first: readers pinned before this commit keep resolving
+  // the note (and its UNID) through the overlay until they unpin.
+  RecordPreImage(id);
+  DOMINO_RETURN_IF_ERROR(store_->Erase(id));
+  {
+    MutexLock lock(&catalog_mu_);
+    for (auto& [parent, kids] : children_) kids.erase(id);
+  }
+  if (std::shared_ptr<indexer::IndexerTask> task = SnapshotIndexer()) {
+    // Route the erase through the indexer queue so it stays ordered
+    // behind any still-pending kChanged for the same note; removing
+    // from the indexes synchronously would let such a queued update
+    // resurrect the erased note there.
+    task->Enqueue(indexer::NoteChange{id, indexer::ChangeKind::kErased,
+                                      commit_epoch_, nullptr});
+  } else {
+    for (const auto& view : SnapshotViews()) {
+      view->Remove(id, commit_epoch_);
+    }
+    if (auto ft = SnapshotFulltext()) ft->RemoveNote(id);
+  }
+  MutexLock lock(&notify_mu_);
+  if (!observers_.empty()) {
+    PendingNotify n;
+    n.erased_id = id;
+    pending_notify_.push_back(std::move(n));
+  }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------

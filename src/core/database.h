@@ -38,7 +38,7 @@ class DatabaseObserver {
   virtual ~DatabaseObserver() = default;
   /// Fired for creates, updates and logical deletes (note.deleted()).
   virtual void OnNoteChanged(const Note& note) = 0;
-  /// Fired when a stub is physically purged.
+  /// Fired when a note is physically erased (EraseNote, stub purge).
   virtual void OnNoteErased(NoteId id) { (void)id; }
 };
 
@@ -168,6 +168,12 @@ class Database : public NoteResolver {
   Status UpdateNote(Note note);
   /// Replaces the note with a deletion stub.
   Status DeleteNote(NoteId id);
+  /// Physically erases a note or stub, leaving no deletion stub. For local
+  /// queues only (the router's mail.box): no replica ever learns of the
+  /// erase, so in a database that replicates a peer's copy would come
+  /// back. Readers pinned before the erase keep seeing the note through
+  /// the overlay until they unpin.
+  Status EraseNote(NoteId id);
   /// Live notes only (NotFound for stubs).
   Result<Note> ReadNote(NoteId id) const;
   Result<Note> ReadNoteByUnid(const Unid& unid) const;
@@ -225,7 +231,6 @@ class Database : public NoteResolver {
   // -- Full-text ------------------------------------------------------------
   /// Builds the index if needed; it is maintained incrementally afterward.
   Status EnsureFullTextIndex();
-  bool HasFullTextIndex() const;
   const FullTextIndex* fulltext() const;
   /// Scored search returning readable notes only, evaluated at a pinned
   /// snapshot (hits from commits after the pin are filtered out; notes
@@ -376,6 +381,9 @@ class Database : public NoteResolver {
 
   // Snapshot resolution (see core/mvcc.h for the protocol).
   NoteHandle ResolveAt(NoteId id, Epoch at) const;
+  /// Same, with `current` the store's state of `id` fetched before the
+  /// call (saves decoding the note a second time).
+  NoteHandle ResolveAt(NoteId id, Epoch at, NoteHandle current) const;
   NoteHandle ResolveUnidAt(const Unid& unid, Epoch at) const;
   /// Visits every note (stubs included) visible at `at`, including notes
   /// the store has since purged but the overlay still carries.

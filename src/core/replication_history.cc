@@ -16,11 +16,6 @@ void ReplicationHistory::Record(const std::string& peer, Micros cutoff) {
   slot = std::max(slot, cutoff);
 }
 
-void ReplicationHistory::Clear() {
-  MutexLock lock(&mu_);
-  cutoffs_.clear();
-}
-
 std::optional<Micros> ReplicationHistory::MinCutoff() const {
   MutexLock lock(&mu_);
   if (cutoffs_.empty()) return std::nullopt;

@@ -28,7 +28,6 @@ class ReplicationHistory {
   Micros CutoffFor(const std::string& peer) const;
   /// Keeps the maximum per peer, so a stale report never rewinds progress.
   void Record(const std::string& peer, Micros cutoff);
-  void Clear();
 
   /// The least-caught-up recorded peer's cutoff: every recorded peer has
   /// seen all changes stamped at or below this value. Empty history (the

@@ -121,16 +121,6 @@ bool IndexerTask::HasPending() const {
   return !queue_.empty();
 }
 
-size_t IndexerTask::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
-void IndexerTask::ClearScheduled() {
-  std::lock_guard<std::mutex> lock(mu_);
-  drain_scheduled_ = false;
-}
-
 void IndexerTask::Close() {
   std::unique_lock<std::mutex> lock(mu_);
   closed_ = true;

@@ -1,5 +1,7 @@
 #include "mail/router.h"
 
+#include <algorithm>
+
 #include "base/string_util.h"
 
 namespace dominodb {
@@ -46,6 +48,7 @@ Router::Router(std::string server_name, Database* mailbox,
   ctr_dead_ = &reg.GetCounter("Mail.Dead");
   ctr_hops_ = &reg.GetCounter("Mail.Hops.Total");
   ctr_retries_ = &reg.GetCounter("Mail.Transfer.Retries");
+  gauge_oldest_age_ = &reg.GetGauge("Mail.Box.OldestAgeMicros");
 }
 
 void Router::DeadLetter(const std::string& user, const std::string& reason,
@@ -122,12 +125,17 @@ Status Router::DeliverLocal(const std::string& user, const Note& message) {
 
 Result<size_t> Router::RunOnce(const std::map<std::string, Router*>& peers) {
   // Snapshot pending messages first; delivery mutates the mailbox.
+  const Micros now =
+      mailbox_->clock() != nullptr ? mailbox_->clock()->Now() : 0;
+  Micros oldest = now;
   std::vector<Note> pending;
   mailbox_->ForEachLiveNote([&](const Note& note) {
     if (EqualsIgnoreCase(note.GetText("Form"), "Memo")) {
       pending.push_back(note);
+      oldest = std::min(oldest, note.created());
     }
   });
+  gauge_oldest_age_->Set(std::max<Micros>(0, now - oldest));
 
   // First mail-file write failure of the pass; surfaced after every
   // message has been given its chance (one sick mail file must not stall
@@ -204,7 +212,9 @@ Result<size_t> Router::RunOnce(const std::map<std::string, Router*>& peers) {
     }
 
     if (retry_users.empty()) {
-      DOMINO_RETURN_IF_ERROR(mailbox_->DeleteNote(message.id()));
+      // mail.box never replicates, so a routed memo is erased outright:
+      // a deletion stub would only make the queue grow forever.
+      DOMINO_RETURN_IF_ERROR(mailbox_->EraseNote(message.id()));
     } else if (retry_users.size() != recipients.size()) {
       // Partial progress: rewrite the queued memo's recipient list to the
       // remainder, so the retry pass cannot re-deliver the copies that

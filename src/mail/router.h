@@ -67,10 +67,12 @@ class Router {
   /// failure surfaces the store's real status (not a generic error).
   Status Submit(Note message);
 
-  /// Processes every pending message once. `peers` maps server names to
-  /// their routers (the transport is the shared SimNet). Returns the
-  /// number of messages processed (retained-for-retry messages count as
-  /// processed, so drain loops keep polling while work remains).
+  /// Processes every pending message once; a memo whose copies have all
+  /// been delivered, forwarded or dead-lettered is erased from mail.box.
+  /// `peers` maps server names to their routers (the transport is the
+  /// shared SimNet). Returns the number of messages processed
+  /// (retained-for-retry messages count as processed, so drain loops keep
+  /// polling while work remains).
   ///
   /// Failure handling, per recipient copy:
   ///  - transient transfer failures (the link dropped the message) keep
@@ -119,6 +121,9 @@ class Router {
   stats::Counter* ctr_dead_;
   stats::Counter* ctr_hops_;
   stats::Counter* ctr_retries_;
+  /// Age of the oldest memo in mail.box at the start of the last RunOnce
+  /// pass (0 when the queue was empty).
+  stats::Gauge* gauge_oldest_age_;
 };
 
 }  // namespace dominodb

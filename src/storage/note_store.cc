@@ -397,6 +397,7 @@ Status NoteStore::RebuildIndexFromIdTable() {
   stub_count_ = 0;
   const size_t per_page = EntriesPerPage();
   for (size_t ti = 0; ti < id_table_pages_.size(); ++ti) {
+    if (id_table_pages_[ti] == kInvalidPage) continue;  // freed: no entries
     DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref,
                             pool_->Pin(id_table_pages_[ti]));
     if (PageTypeOf(ref.data()) != pager::kPageIdTable) {
@@ -434,19 +435,21 @@ Result<pager::PageRef> NoteStore::IdTablePageFor(NoteId id,
   const size_t index = static_cast<size_t>(id - 1);
   const size_t ti = index / per_page;
   *slot_in_page = index % per_page;
-  if (ti >= id_table_pages_.size()) {
-    return Status::NotFound("note id beyond id table");
+  if (ti >= id_table_pages_.size() || id_table_pages_[ti] == kInvalidPage) {
+    return Status::NotFound("note id beyond id table or on a freed page");
   }
   return pool_->Pin(id_table_pages_[ti]);
 }
 
 Status NoteStore::EnsureIdCapacity(NoteId id) {
-  const size_t per_page = EntriesPerPage();
-  const size_t ti = static_cast<size_t>(id - 1) / per_page;
-  while (id_table_pages_.size() <= ti) {
+  const size_t ti = static_cast<size_t>(id - 1) / EntriesPerPage();
+  if (id_table_pages_.size() <= ti) {
+    id_table_pages_.resize(ti + 1, kInvalidPage);
+  }
+  if (id_table_pages_[ti] == kInvalidPage) {
     uint32_t pgno = pager_->Allocate();
     pool_->PinNew(pgno, pager::kPageIdTable);
-    id_table_pages_.push_back(pgno);
+    id_table_pages_[ti] = pgno;
   }
   return Status::Ok();
 }
@@ -733,6 +736,7 @@ void NoteStore::ForEach(const std::function<void(const Note&)>& fn) const {
     {
       ReaderLock lock(&mu_);
       if (ti >= id_table_pages_.size()) break;
+      if (id_table_pages_[ti] == kInvalidPage) continue;
       std::vector<IdEntry> used;
       {
         auto ref_or = pool_->Pin(id_table_pages_[ti]);
@@ -805,6 +809,25 @@ Status NoteStore::ApplyErase(NoteId id, const IdEntry& entry) {
   } else {
     --live_count_;
   }
+  // Note ids are never reused, so an id-table page whose entries are all
+  // unused and whose ids all lie below next_id_ stays empty for good:
+  // free it and leave a hole. The tail page is kept, so appends never
+  // churn it.
+  const size_t per_page = EntriesPerPage();
+  const size_t ti = static_cast<size_t>(id - 1) / per_page;
+  if ((ti + 1) * per_page >= next_id_) return Status::Ok();
+  const uint32_t pgno = id_table_pages_[ti];
+  {
+    DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref, pool_->Pin(pgno));
+    for (size_t i = 0; i < per_page; ++i) {
+      const char* p = ref.data() + kPageHeaderSize + i * kIdEntrySize;
+      if (static_cast<uint8_t>(p[22]) & kEntryUsed) return Status::Ok();
+    }
+  }
+  pool_->Discard(pgno);
+  pager_->Free(pgno);
+  id_table_pages_[ti] = kInvalidPage;
+  ctr_pages_freed_inline_->Add();
   return Status::Ok();
 }
 
@@ -985,6 +1008,7 @@ Result<size_t> NoteStore::PurgeStubs(Micros now) {
     const Micros cutoff = now - info_.purge_interval;
     const size_t per_page = EntriesPerPage();
     for (size_t ti = 0; ti < id_table_pages_.size(); ++ti) {
+      if (id_table_pages_[ti] == kInvalidPage) continue;
       DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref,
                               pool_->Pin(id_table_pages_[ti]));
       for (size_t i = 0; i < per_page; ++i) {
@@ -1278,6 +1302,7 @@ Result<size_t> NoteStore::RelocatePage(uint32_t from) {
 Result<NoteId> NoteStore::OverflowOwner(uint32_t pgno) const {
   const size_t per_page = EntriesPerPage();
   for (size_t ti = 0; ti < id_table_pages_.size(); ++ti) {
+    if (id_table_pages_[ti] == kInvalidPage) continue;
     std::vector<std::pair<NoteId, uint32_t>> heads;
     {
       DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref,

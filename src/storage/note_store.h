@@ -103,8 +103,10 @@ struct CompactStats {
 /// oversized ones) plus a paged note-ID table mapping note id →
 /// {UNID, page, slot, flags, sequence time} — accessed through a
 /// Pager + BufferPool, so databases larger than RAM serve from a bounded
-/// working set. Durable geometry (page count, free list, id-table pages)
-/// lives in `notes.meta`, written atomically at checkpoint.
+/// working set. Note ids are never reused, so an id-table page whose ids
+/// have all been erased is freed and leaves a hole in the table. Durable
+/// geometry (page count, free list, id-table pages) lives in
+/// `notes.meta`, written atomically at checkpoint.
 ///
 /// Durability: logical ops commit as kData records to a wal::SharedLog
 /// stream — the server's log, or the store's own one-stream log under
@@ -181,7 +183,7 @@ class NoteStore {
   /// Atomically commits several notes in one WAL record.
   Status PutBatch(std::vector<Note>* notes);
 
-  /// Physically removes a note or stub (used by stub purging only —
+  /// Physically removes a note or stub (stub purging and local queues —
   /// logical deletion goes through Note::MakeStub + Put).
   Status Erase(NoteId id);
 
@@ -285,10 +287,11 @@ class NoteStore {
 
   // -- Id-table access ---------------------------------------------------
   size_t EntriesPerPage() const;
-  /// Pins the id-table page holding `id` (NotFound beyond the table).
+  /// Pins the id-table page holding `id` (NotFound beyond the table or
+  /// in a hole).
   Result<pager::PageRef> IdTablePageFor(NoteId id, size_t* slot_in_page) const
       REQUIRES_SHARED(mu_);
-  /// Grows the id table until it covers `id`.
+  /// Grows the id table until it covers `id`; a hole gets a fresh page.
   Status EnsureIdCapacity(NoteId id) REQUIRES(mu_);
   /// Absent ids decode as an all-zero entry (flags == 0, i.e. unused).
   Result<IdEntry> ReadEntry(NoteId id) const REQUIRES_SHARED(mu_);
@@ -312,7 +315,8 @@ class NoteStore {
       REQUIRES_SHARED(mu_);
   /// Installs one note version; returns {existed, was_live} for stats.
   Result<std::pair<bool, bool>> ApplyNote(Note&& note) REQUIRES(mu_);
-  /// Removes an entry that is known to be in use.
+  /// Removes an entry that is known to be in use, and frees its id-table
+  /// page once every id on it is unused and below next_id_.
   Status ApplyErase(NoteId id, const IdEntry& entry) REQUIRES(mu_);
 
   // -- COMPACT passes ----------------------------------------------------
@@ -356,7 +360,8 @@ class NoteStore {
 
   std::unique_ptr<pager::Pager> pager_;
   std::unique_ptr<pager::BufferPool> pool_;
-  /// Id-table page numbers, in table order (entry index → page).
+  /// Id-table page numbers, in table order (entry index → page);
+  /// kInvalidPage marks a hole, a freed page none of whose ids is in use.
   std::vector<uint32_t> id_table_pages_ GUARDED_BY(mu_);
   /// Bucket page currently accepting new slots.
   uint32_t fill_page_ GUARDED_BY(mu_) = pager::kInvalidPage;

@@ -299,11 +299,6 @@ void ViewIndex::ReclaimVersions(Epoch floor) {
   }
 }
 
-size_t ViewIndex::zombie_count() const {
-  ReaderLock lock(&mu_);
-  return zombies_.size();
-}
-
 void ViewIndex::ClearLocked() {
   rows_.clear();
   responses_.clear();

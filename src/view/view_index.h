@@ -157,9 +157,6 @@ class ViewIndex {
   /// (min over pinned reader epochs, else the committed epoch).
   void ReclaimVersions(Epoch floor);
 
-  /// Zombie versions currently retained for pinned readers.
-  size_t zombie_count() const;
-
   /// Drops everything and re-indexes the whole database. `for_each_note`
   /// must invoke its callback once per note. Used on view creation and by
   /// the E2 rebuild-vs-incremental experiment.

@@ -413,9 +413,4 @@ uint64_t SharedLog::current_segment() const {
   return current_segment_;
 }
 
-uint64_t SharedLog::committed_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return durable_seq_;
-}
-
 }  // namespace dominodb::wal

@@ -113,7 +113,6 @@ class SharedLog {
   // Introspection (tests, `show stat`).
   uint64_t first_segment() const;
   uint64_t current_segment() const;
-  uint64_t committed_records() const;
 
  private:
   struct StreamInfo {

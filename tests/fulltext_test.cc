@@ -166,6 +166,20 @@ TEST(FullTextIndexTest, ResidentBytesGaugeTracksTheIndex) {
   EXPECT_EQ(index.ResidentBytes(), 0u);
 }
 
+TEST(FullTextIndexTest, UncompressedModelBytesTracksTheIndex) {
+  // E5 divides this by ByteUsage() for its compression ratio.
+  FullTextIndex index;
+  EXPECT_EQ(index.UncompressedModelBytes(), 0u);
+  index.IndexNote(Doc(1, "alpha beta", "gamma delta"));
+  const size_t one = index.UncompressedModelBytes();
+  EXPECT_GT(one, 0u);
+  index.IndexNote(Doc(2, "epsilon zeta", "eta theta alpha"));
+  EXPECT_GT(index.UncompressedModelBytes(), one);
+  EXPECT_GT(index.UncompressedModelBytes(), index.ByteUsage());
+  index.Clear();
+  EXPECT_EQ(index.UncompressedModelBytes(), 0u);
+}
+
 TEST(FullTextIndexTest, NonDocumentsNotIndexed) {
   FullTextIndex index;
   Note view_note(NoteClass::kView);

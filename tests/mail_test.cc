@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <future>
+#include <optional>
+#include <thread>
+
 #include "mail/router.h"
 #include "server/server.h"
 #include "tests/test_util.h"
@@ -171,6 +175,178 @@ TEST_F(MailFixture, NoDuplicateDeliveryOnResumedTransfer) {
   EXPECT_EQ(servers_["beta"]->router()->stats().delivered, 1u);
   EXPECT_EQ(servers_["beta"]->router()->stats().dead_lettered, 0u);
   EXPECT_EQ(servers_["beta"]->router()->mailbox()->note_count(), 0u);
+}
+
+TEST_F(MailFixture, DrainedMailBoxesHoldNoStubs) {
+  // Local, cross-server, multi-hop, fan-out and dead-lettered memos: once
+  // routed, each is erased from every mail.box it passed through.
+  servers_["alpha"]->router()->SetNextHop("gamma", "beta");
+  ASSERT_OK(servers_["alpha"]->SendMail("Al", {"Ada"}, "local", "body"));
+  ASSERT_OK(servers_["alpha"]->SendMail("Ada", {"Bea"}, "remote", "body"));
+  ASSERT_OK(servers_["alpha"]->SendMail("Ada", {"Gil"}, "two hops", "body"));
+  ASSERT_OK(servers_["beta"]->SendMail("Bea", {"Ada", "Al", "Gil", "Ghost"},
+                                       "fan-out", "body"));
+  RunAllRouters();
+  EXPECT_EQ(InboxCount("alpha", "Ada"), 2u);
+  EXPECT_EQ(InboxCount("gamma", "Gil"), 2u);
+  for (auto& [name, server] : servers_) {
+    Database* box = server->router()->mailbox();
+    EXPECT_EQ(box->note_count(), 0u) << name;
+    EXPECT_EQ(box->stub_count(), 0u) << name;
+  }
+}
+
+// One server, "solo", with two local users. Open() builds it over the same
+// directory each time, so a second Open() after Crash() is a restart.
+class MailBoxFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    clock_.Set(1'000'000'000);
+    ASSERT_NO_FATAL_FAILURE(Open());
+  }
+
+  void Open() {
+    server_ = std::make_unique<Server>("solo", dir_.Sub("solo"), &clock_,
+                                       &net_, &directory_, &registry_);
+    ASSERT_OK(server_->EnsureMailInfrastructure());
+    ASSERT_OK(server_->CreateMailFile("alice").status());
+    ASSERT_OK(server_->CreateMailFile("bob").status());
+  }
+
+  /// Drops the server without a checkpoint: every acknowledged commit
+  /// lives only in the databases' logs.
+  void Crash() {
+    for (const std::string& file : server_->DatabaseFiles()) {
+      EXPECT_EQ(server_->FindDatabase(file)->store_stats().checkpoints, 0u)
+          << file;
+    }
+    server_.reset();
+  }
+
+  Result<size_t> RunRouterOnce() {
+    return server_->RunRouterOnce({{"solo", server_->router()}});
+  }
+
+  Database* box() { return server_->router()->mailbox(); }
+  size_t BobInbox() { return server_->MailFileOf("bob")->note_count(); }
+
+  ScratchDir dir_;
+  SimClock clock_;
+  SimNet net_{&clock_};
+  MailDirectory directory_;
+  stats::StatRegistry registry_;
+  std::unique_ptr<Server> server_;
+};
+
+TEST_F(MailBoxFixture, ReaderPinnedBeforeTheEraseStillReadsTheMemo) {
+  ASSERT_OK(server_->SendMail("alice", {"bob"}, "pinned", "body"));
+  NoteId id = kInvalidNoteId;
+  box()->ForEachLiveNote([&](const Note& note) { id = note.id(); });
+  ASSERT_NE(id, kInvalidNoteId);
+
+  std::promise<void> pinned;
+  std::promise<void> erased;
+  std::optional<Note> seen;
+  Status read_status;
+  std::thread reader([&] {
+    Database::ReadTxn txn(box());
+    pinned.set_value();
+    erased.get_future().wait();
+    auto note = box()->ReadNote(id);
+    read_status = note.status();
+    if (note.ok()) seen = std::move(*note);
+  });
+  pinned.get_future().wait();
+  ASSERT_OK_AND_ASSIGN(size_t routed, RunRouterOnce());
+  EXPECT_EQ(routed, 1u);
+  EXPECT_EQ(box()->note_count(), 0u);
+  EXPECT_EQ(box()->stub_count(), 0u);
+  erased.set_value();
+  reader.join();
+
+  ASSERT_OK(read_status);
+  ASSERT_TRUE(seen.has_value());
+  EXPECT_EQ(seen->GetText("Subject"), "pinned");
+  // A reader that starts after the erase finds nothing, and the pre-image
+  // is dropped once the pinned reader has gone.
+  EXPECT_TRUE(box()->ReadNote(id).status().IsNotFound());
+  EXPECT_EQ(box()->mvcc().live_versions(), 0u);
+  EXPECT_EQ(BobInbox(), 1u);
+}
+
+TEST_F(MailBoxFixture, AcknowledgedDepositIsDeliveredOnceAfterACrash) {
+  ASSERT_OK(server_->SendMail("alice", {"bob"}, "deposited", "body"));
+  ASSERT_NO_FATAL_FAILURE(Crash());
+  ASSERT_NO_FATAL_FAILURE(Open());
+  EXPECT_GT(box()->store_stats().recovered_records, 0u);
+  EXPECT_EQ(box()->note_count(), 1u);
+
+  ASSERT_OK_AND_ASSIGN(size_t routed, RunRouterOnce());
+  EXPECT_EQ(routed, 1u);
+  EXPECT_EQ(BobInbox(), 1u);
+  EXPECT_EQ(box()->note_count(), 0u);
+  EXPECT_EQ(box()->stub_count(), 0u);
+  ASSERT_OK_AND_ASSIGN(size_t again, RunRouterOnce());
+  EXPECT_EQ(again, 0u);
+  EXPECT_EQ(BobInbox(), 1u);
+}
+
+TEST_F(MailBoxFixture, AcknowledgedEraseIsNotRedeliveredAfterACrash) {
+  ASSERT_OK(server_->SendMail("alice", {"bob"}, "routed", "body"));
+  ASSERT_OK_AND_ASSIGN(size_t routed, RunRouterOnce());
+  EXPECT_EQ(routed, 1u);
+  EXPECT_EQ(BobInbox(), 1u);
+  ASSERT_NO_FATAL_FAILURE(Crash());
+  ASSERT_NO_FATAL_FAILURE(Open());
+  EXPECT_GT(box()->store_stats().recovered_records, 0u);
+  EXPECT_EQ(box()->note_count(), 0u);
+  EXPECT_EQ(box()->stub_count(), 0u);
+
+  ASSERT_OK_AND_ASSIGN(size_t again, RunRouterOnce());
+  EXPECT_EQ(again, 0u);
+  EXPECT_EQ(BobInbox(), 1u);
+}
+
+TEST(MailObservabilityTest, OldestAgeGaugeTracksAHeldMemo) {
+  ScratchDir dir;
+  SimClock clock;
+  clock.Set(1'000'000'000);
+  SimNet net(&clock);
+  MailDirectory directory;
+  stats::StatRegistry alpha_stats;
+  stats::StatRegistry beta_stats;
+  Server alpha("alpha", dir.Sub("alpha"), &clock, &net, &directory,
+               &alpha_stats);
+  Server beta("beta", dir.Sub("beta"), &clock, &net, &directory, &beta_stats);
+  ASSERT_OK(alpha.CreateMailFile("Ada").status());
+  ASSERT_OK(beta.CreateMailFile("Bea").status());
+  std::map<std::string, Router*> peers = {{"alpha", alpha.router()},
+                                          {"beta", beta.router()}};
+  const stats::Gauge& oldest = alpha_stats.GetGauge("Mail.Box.OldestAgeMicros");
+
+  // The partition holds the memo in alpha's mail.box; every pass sees it
+  // a minute older.
+  net.SetPartitioned("alpha", "beta", true);
+  ASSERT_OK(alpha.SendMail("Ada", {"Bea"}, "held", "body"));
+  int64_t previous = -1;
+  for (int pass = 0; pass < 3; ++pass) {
+    clock.Advance(60'000'000);
+    ASSERT_OK(alpha.RunRouterOnce(peers).status());
+    EXPECT_GT(oldest.value(), previous);
+    EXPECT_GE(oldest.value(), (pass + 1) * 60'000'000ll - 1'000);
+    previous = oldest.value();
+  }
+  EXPECT_EQ(alpha.router()->mailbox()->note_count(), 1u);
+
+  // Healed: the memo is delivered, and the pass after that sees an empty
+  // queue.
+  net.SetPartitioned("alpha", "beta", false);
+  ASSERT_OK_AND_ASSIGN(size_t passes,
+                       Server::DrainRouters({&alpha, &beta}));
+  EXPECT_GE(passes, 2u);
+  EXPECT_EQ(beta.MailFileOf("Bea")->note_count(), 1u);
+  EXPECT_EQ(oldest.value(), 0);
+  EXPECT_EQ(beta_stats.GetGauge("Mail.Box.OldestAgeMicros").value(), 0);
 }
 
 TEST(RouterFailureTest, DeliveryFailurePropagatesRealStatusAndDeadLetters) {

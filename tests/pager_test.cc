@@ -714,6 +714,172 @@ TEST(CompactTest, CrashAfterRelocationLosesNothing) {
   EXPECT_EQ(EncodedNotes(*store), before);
 }
 
+// --------------------------------------------------------- Id-table holes --
+
+// At 512-byte pages an id-table page holds 15 entries: ids 1-15 sit on the
+// first page, 16-30 on the second, and so on.
+constexpr NoteId kIdsPerTablePage = 15;
+
+// Puts `count` notes of one bucket page each (SizedDoc's 400-byte body),
+// recording each encoding in `model`; unid lo == note id.
+void PutPageSizedNotes(NoteStore* store, int count,
+                       std::map<NoteId, std::string>* model) {
+  for (int i = 0; i < count; ++i) {
+    Note note = SizedDoc(static_cast<uint64_t>(i + 1), i + 1, 400);
+    ASSERT_OK(store->Put(&note));
+    ASSERT_EQ(note.id(), static_cast<NoteId>(i + 1));
+    (*model)[note.id()] = note.EncodeToString();
+  }
+}
+
+// Every id the store was ever given (1..max_id) reads as the model says:
+// present ids through Get, GetByUnid and ForEach, absent ones NotFound on
+// both lookups; the live and stub counts agree too.
+void ExpectStoreMatchesModel(const NoteStore& store, NoteId max_id,
+                             const std::map<NoteId, std::string>& model) {
+  size_t stubs = 0;
+  for (NoteId id = 1; id <= max_id; ++id) {
+    auto it = model.find(id);
+    auto by_id = store.Get(id);
+    auto by_unid = store.GetByUnid(Unid{0x22, id});
+    if (it == model.end()) {
+      EXPECT_TRUE(by_id.status().IsNotFound()) << "note " << id;
+      EXPECT_TRUE(by_unid.status().IsNotFound()) << "note " << id;
+      continue;
+    }
+    ASSERT_OK(by_id);
+    ASSERT_OK(by_unid);
+    EXPECT_EQ(by_id->EncodeToString(), it->second) << "note " << id;
+    EXPECT_EQ(by_unid->id(), id);
+    if (by_id->deleted()) ++stubs;
+  }
+  EXPECT_EQ(EncodedNotes(store), model);
+  EXPECT_EQ(store.stub_count(), stubs);
+  EXPECT_EQ(store.note_count(), model.size() - stubs);
+}
+
+TEST(IdTableHoleTest, ErasingEveryIdOfAPageFreesIt) {
+  ScratchDir dir;
+  StoreOptions options = TinyPagedOptions();
+  std::map<NoteId, std::string> model;
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  // Ids 1-100 fill 7 id-table pages; the last one (ids 91-105) is the
+  // tail page, which next_id_ (101) still points into.
+  ASSERT_NO_FATAL_FAILURE(PutPageSizedNotes(store.get(), 100, &model));
+  ASSERT_OK(store->Checkpoint());
+  const uint64_t size_before = store->pages_size_bytes();
+
+  // Erasing the 30 ids of the second and third id-table pages frees their
+  // 30 bucket pages and both id-table pages.
+  uint32_t used = store->used_pages();
+  for (NoteId id = kIdsPerTablePage + 1; id <= 3 * kIdsPerTablePage; ++id) {
+    ASSERT_OK(store->Erase(id));
+    model.erase(id);
+  }
+  EXPECT_EQ(used - store->used_pages(), 30u + 2u);
+  // Erasing all but one id of the first page keeps that page.
+  used = store->used_pages();
+  for (NoteId id = 2; id <= kIdsPerTablePage; ++id) {
+    ASSERT_OK(store->Erase(id));
+    model.erase(id);
+  }
+  EXPECT_EQ(used - store->used_pages(), 14u);
+  // The tail page stays even once every id on it that was handed out is
+  // gone: the ids after them will land on it.
+  used = store->used_pages();
+  for (NoteId id = 91; id <= 100; ++id) {
+    ASSERT_OK(store->Erase(id));
+    model.erase(id);
+  }
+  EXPECT_EQ(used - store->used_pages(), 10u);
+
+  // Stubs on the fourth page: all of them purged frees the page too; the
+  // fifth page's stubs are recent and stay.
+  Micros t = 1000;
+  for (NoteId id = 3 * kIdsPerTablePage + 1; id <= 5 * kIdsPerTablePage;
+       ++id) {
+    ASSERT_OK_AND_ASSIGN(Note stub, store->Get(id));
+    stub.MakeStub(id <= 4 * kIdsPerTablePage
+                      ? t++
+                      : t + store->info().purge_interval);
+    ASSERT_OK(store->Put(&stub));
+    model[id] = stub.EncodeToString();
+  }
+  ASSERT_OK_AND_ASSIGN(size_t purged,
+                       store->PurgeStubs(t + store->info().purge_interval));
+  EXPECT_EQ(purged, static_cast<size_t>(kIdsPerTablePage));
+  for (NoteId id = 3 * kIdsPerTablePage + 1; id <= 4 * kIdsPerTablePage;
+       ++id) {
+    model.erase(id);
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectStoreMatchesModel(*store, 100, model));
+  EXPECT_EQ(store->stub_count(), static_cast<size_t>(kIdsPerTablePage));
+
+  // COMPACT moves the tail of the file into the freed pages, and the
+  // checkpoint cuts the file down to its in-use pages.
+  ASSERT_NO_FATAL_FAILURE(CompactUntilDry(store.get()));
+  ASSERT_OK(store->Checkpoint());
+  EXPECT_LT(store->pages_size_bytes(), size_before);
+  EXPECT_EQ(store->free_pages(), 0u);
+  EXPECT_EQ(store->pages_size_bytes(),
+            uint64_t{store->used_pages()} * options.page_size);
+  ASSERT_NO_FATAL_FAILURE(ExpectStoreMatchesModel(*store, 100, model));
+
+  // Reopening rebuilds the index from an id table with holes.
+  store.reset();
+  ASSERT_OK_AND_ASSIGN(store,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  ASSERT_NO_FATAL_FAILURE(ExpectStoreMatchesModel(*store, 100, model));
+  // Ids are not reused: the next note continues after the highest id ever
+  // handed out, on the kept tail page.
+  Note next = SizedDoc(101, t++, 10);
+  ASSERT_OK(store->Put(&next));
+  EXPECT_EQ(next.id(), 101u);
+  model[next.id()] = next.EncodeToString();
+  // A note put at an id inside a hole gets a fresh id-table page.
+  Note in_hole = SizedDoc(20, t++, 10);
+  in_hole.set_id(20);
+  ASSERT_OK(store->Put(&in_hole));
+  model[20] = in_hole.EncodeToString();
+  ASSERT_NO_FATAL_FAILURE(ExpectStoreMatchesModel(*store, 101, model));
+}
+
+TEST(IdTableHoleTest, LogReplayFreesTheSamePages) {
+  ScratchDir dir;
+  StoreOptions options = TinyPagedOptions();
+  std::map<NoteId, std::string> model;
+  uint32_t used_live = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+    ASSERT_NO_FATAL_FAILURE(PutPageSizedNotes(store.get(), 60, &model));
+    ASSERT_OK(store->Checkpoint());
+    const uint32_t used_before = store->used_pages();
+    for (NoteId id = 1; id <= 2 * kIdsPerTablePage; ++id) {
+      ASSERT_OK(store->Erase(id));
+      model.erase(id);
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectStoreMatchesModel(*store, 60, model));
+    used_live = store->used_pages();
+    EXPECT_EQ(used_before - used_live, 2 * kIdsPerTablePage + 2);
+    // "Crash": drop the store without a checkpoint; the erases live only
+    // in the log.
+  }
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  EXPECT_GT(store->stats().recovered_records, 0u);
+  ASSERT_NO_FATAL_FAILURE(ExpectStoreMatchesModel(*store, 60, model));
+  // Replay went through the same erase path, so it freed the same pages.
+  EXPECT_EQ(store->used_pages(), used_live);
+  ASSERT_OK(store->Checkpoint());
+  store.reset();
+  ASSERT_OK_AND_ASSIGN(store,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  EXPECT_EQ(store->stats().recovered_records, 0u);
+  ASSERT_NO_FATAL_FAILURE(ExpectStoreMatchesModel(*store, 60, model));
+}
+
 // ------------------------------------------------------ Crash-recovery matrix --
 
 // Full sweep (every fault point × every tearable page, every WAL cut
@@ -866,6 +1032,42 @@ TEST_P(CheckpointFaultMatrix, RelocatingCompactRecoversFromLoggedImages) {
                          ReadFileToString(db_dir + "/notes.pages"));
     ASSERT_NO_FATAL_FAILURE(CompactUntilDry(store.get()));
     EXPECT_GT(store->compact_stats().pages_relocated, 0u);
+    CrashCheckpoint(store.get());
+  }
+  ExpectRecoveryFromEveryTornPage(db_dir, pages_before, model);
+}
+
+// A checkpoint that dies while writing out erases that freed two id-table
+// pages: the file still holds those pages from the checkpoint before.
+TEST_P(CheckpointFaultMatrix, FreedIdTablePageRecoversFromLoggedImages) {
+  ScratchDir dir;
+  std::string db_dir = dir.Sub("db");
+  std::map<NoteId, std::string> model;
+  std::string pages_before;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(db_dir, FaultingOptions(),
+                                         PagedInfo()));
+    ASSERT_NO_FATAL_FAILURE(PutPageSizedNotes(store.get(), 60, &model));
+    ASSERT_OK(store->Checkpoint());
+    ASSERT_OK_AND_ASSIGN(pages_before,
+                         ReadFileToString(db_dir + "/notes.pages"));
+    const uint32_t used = store->used_pages();
+    for (NoteId id = kIdsPerTablePage + 1; id <= 3 * kIdsPerTablePage;
+         ++id) {
+      ASSERT_OK(store->Erase(id));
+      model.erase(id);
+    }
+    EXPECT_EQ(used - store->used_pages(), 2 * kIdsPerTablePage + 2);
+    // Erases beside the freed pages and a new note leave pages for the
+    // crashed checkpoint to write.
+    for (NoteId id : {NoteId{3}, NoteId{50}}) {
+      ASSERT_OK(store->Erase(id));
+      model.erase(id);
+    }
+    Note fresh = SizedDoc(61, 61, 10);
+    ASSERT_OK(store->Put(&fresh));
+    model[fresh.id()] = fresh.EncodeToString();
     CrashCheckpoint(store.get());
   }
   ExpectRecoveryFromEveryTornPage(db_dir, pages_before, model);
