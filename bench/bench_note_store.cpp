@@ -5,6 +5,9 @@
 // E16 — Buffer-pool working-set sweep: read latency and cache hit rate
 // as the hot set grows from half the pool to 4× the pool (the paged
 // store's beyond-RAM claim, BM_WorkingSetSweep below).
+//
+// E16c — Update churn: the page file after K × N same-size rewrites of
+// randomly chosen notes among N (BM_UpdateChurn).
 
 #include <benchmark/benchmark.h>
 
@@ -208,6 +211,67 @@ void BM_CompactAfterPurge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompactAfterPurge)->Unit(benchmark::kMillisecond);
+
+// E16c: update churn — the page file after K passes of N same-size
+// rewrites of randomly chosen notes among N, with no COMPACT. An update
+// that goes back onto its own page keeps the file at its loaded size; one
+// appended to the fill page leaves a dead slot on a page whose other notes
+// keep it alive, so the file grows with every pass.
+void BM_UpdateChurn(benchmark::State& state) {
+  const int passes = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    BenchDir dir("churn_" + std::to_string(passes));
+    stats::StatRegistry registry;
+    StoreOptions options;
+    options.sync_mode = wal::SyncMode::kNone;
+    options.checkpoint_threshold_bytes = 0;
+    options.compact_threshold_bytes = 0;
+    options.page_size = 4096;
+    options.stats = &registry;
+    DatabaseInfo info;
+    info.replica_id = Unid{0xe16, 0xc};
+    info.title = "e16c";
+    auto store = NoteStore::Open(dir.Sub("db"), options, info);
+    if (!store.ok()) std::abort();
+    Rng rng(18);
+    std::vector<Note> notes;
+    for (int i = 0; i < ScaleN(2000, 120); ++i) {
+      notes.push_back(SyntheticDoc(&rng, 900));
+      notes.back().StampCreated(Unid{0xe16c, static_cast<uint64_t>(i) + 1},
+                                static_cast<Micros>(i + 1));
+      if (!(*store)->Put(&notes.back()).ok()) std::abort();
+    }
+    if (!(*store)->Checkpoint().ok()) std::abort();
+    const uint64_t file_before = (*store)->pages_size_bytes();
+    state.ResumeTiming();
+    for (int pass = 0; pass < passes; ++pass) {
+      for (size_t i = 0; i < notes.size(); ++i) {
+        Note& note = notes[rng.Uniform(notes.size())];
+        // Same length, new bytes.
+        std::string subject = note.GetText("Subject");
+        subject[0] = static_cast<char>('a' + pass % 26);
+        note.SetText("Subject", subject);
+        if (!(*store)->Put(&note).ok()) state.SkipWithError("put failed");
+      }
+    }
+    state.PauseTiming();
+    if (!(*store)->Checkpoint().ok()) std::abort();
+    constexpr double kMiB = 1024.0 * 1024.0;
+    state.counters["notes"] = static_cast<double>(notes.size());
+    state.counters["file_mb_before"] =
+        static_cast<double>(file_before) / kMiB;
+    state.counters["file_mb_after"] =
+        static_cast<double>((*store)->pages_size_bytes()) / kMiB;
+    state.counters["dead_mb"] =
+        static_cast<double>((*store)->dead_bytes()) / kMiB;
+    state.counters["in_place"] = static_cast<double>(
+        registry.GetCounter("Store.Place.InPlace").value());
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_UpdateChurn)->Arg(1)->Arg(5)->Arg(20)->Unit(
+    benchmark::kMillisecond);
 
 void BM_UnidLookup(benchmark::State& state) {
   BenchDir dir("unid");

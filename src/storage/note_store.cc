@@ -58,6 +58,95 @@ uint8_t PageTypeOf(const char* page) {
 size_t DirOffset(uint32_t page_size, size_t i) {
   return page_size - 2 * (i + 1);
 }
+// The lowest byte held by a directory of `nslots` words.
+size_t DirStart(uint32_t page_size, size_t nslots) {
+  return page_size - 2 * nslots;
+}
+
+// Bytes of a bucket page that no live slot holds: dead payloads, dead
+// directory words and the gap between the payloads and the directory.
+uint64_t FreeBytes(const char* page, uint32_t page_size) {
+  size_t live = 0;
+  const uint16_t nslots = PageNSlots(page);
+  for (uint16_t i = 0; i < nslots; ++i) {
+    const uint16_t off = LoadU16(page + DirOffset(page_size, i));
+    if (off != kDeadSlot) live += LoadU16(page + off) + kSlotOverhead;
+  }
+  return page_size - kPageHeaderSize - live;
+}
+
+// The gap: free bytes between the last payload and the directory.
+uint64_t GapBytes(const char* page, uint32_t page_size) {
+  return DirStart(page_size, PageNSlots(page)) - PageFreeOff(page);
+}
+
+// Slides the live payloads of a bucket page down against the header, in
+// offset order, so every free payload byte joins the gap. Slot numbers
+// stay; trailing dead directory words are dropped, but at least
+// `min_slots` words are kept.
+void SlidePage(char* page, uint32_t page_size, uint16_t min_slots) {
+  std::vector<std::pair<uint16_t, uint16_t>> live;  // offset, slot
+  uint16_t nslots = min_slots;
+  for (uint16_t i = 0; i < PageNSlots(page); ++i) {
+    const uint16_t off = LoadU16(page + DirOffset(page_size, i));
+    if (off == kDeadSlot) continue;
+    live.emplace_back(off, i);
+    nslots = std::max<uint16_t>(nslots, i + 1);
+  }
+  std::sort(live.begin(), live.end());
+  size_t dst = kPageHeaderSize;
+  for (const auto& [off, slot] : live) {
+    const size_t len = size_t{LoadU16(page + off)} + 2;
+    std::memmove(page + dst, page + off, len);
+    StoreU16(page + DirOffset(page_size, slot), static_cast<uint16_t>(dst));
+    dst += len;
+  }
+  StoreU16(page + pager::kPageNSlotsOffset, nslots);
+  StoreU16(page + pager::kPageFreeOffOffset, static_cast<uint16_t>(dst));
+}
+
+// Writes `encoded` into bucket page `page` as slot `slot`: a dead
+// directory word, or kAnySlot for the first dead word (a new word when
+// there is none). When the gap is too small and `slide` is set, the live
+// payloads slide together first. Returns the slot written, or -1 when
+// the page cannot hold it.
+constexpr int kAnySlot = -1;
+int InsertSlot(char* page, uint32_t page_size, std::string_view encoded,
+               int slot, bool slide) {
+  const uint16_t nslots = PageNSlots(page);
+  size_t live = 0;         // payload bytes, length prefixes included
+  uint16_t live_end = 0;   // one past the last live slot
+  int first_dead = -1;
+  for (uint16_t i = 0; i < nslots; ++i) {
+    const uint16_t off = LoadU16(page + DirOffset(page_size, i));
+    if (off == kDeadSlot) {
+      if (first_dead < 0) first_dead = i;
+      continue;
+    }
+    live += size_t{LoadU16(page + off)} + 2;
+    live_end = i + 1;
+  }
+  if (slot == kAnySlot) slot = first_dead >= 0 ? first_dead : nslots;
+  const size_t need = encoded.size() + 2;
+  const size_t words = std::max<size_t>(nslots, slot + 1);
+  if (PageFreeOff(page) + need > DirStart(page_size, words)) {
+    const size_t slid_words = std::max<size_t>(live_end, slot + 1);
+    if (!slide ||
+        kPageHeaderSize + live + need > DirStart(page_size, slid_words)) {
+      return -1;
+    }
+    SlidePage(page, page_size, static_cast<uint16_t>(slot + 1));
+  }
+  const uint16_t off = PageFreeOff(page);
+  StoreU16(page + off, static_cast<uint16_t>(encoded.size()));
+  std::memcpy(page + off + 2, encoded.data(), encoded.size());
+  StoreU16(page + DirOffset(page_size, slot), off);
+  if (slot >= PageNSlots(page)) {
+    StoreU16(page + pager::kPageNSlotsOffset, static_cast<uint16_t>(slot + 1));
+  }
+  StoreU16(page + pager::kPageFreeOffOffset, static_cast<uint16_t>(off + need));
+  return slot;
+}
 
 }  // namespace
 
@@ -101,6 +190,9 @@ NoteStore::NoteStore(std::string dir, StoreOptions options)
   ctr_compact_relocated_ =
       &registry_->GetCounter("Store.Compact.PagesRelocated");
   ctr_pages_freed_inline_ = &registry_->GetCounter("Store.Pages.FreedInline");
+  ctr_place_in_place_ = &registry_->GetCounter("Store.Place.InPlace");
+  ctr_place_reused_ = &registry_->GetCounter("Store.Place.Reused");
+  ctr_place_appended_ = &registry_->GetCounter("Store.Place.Appended");
   gauge_notes_ = &registry_->GetGauge("Database.Docs.Current");
   gauge_dead_bytes_ = &registry_->GetGauge("Store.DeadBytes");
   hist_commit_micros_ =
@@ -274,8 +366,8 @@ std::string NoteStore::EncodeMetaBlob() const {
   for (uint32_t pg : free_pages) PutFixed32(&out, pg);
   PutVarint64(&out, id_table_pages_.size());
   for (uint32_t pg : id_table_pages_) PutFixed32(&out, pg);
-  PutVarint64(&out, dead_bytes_.size());
-  for (const auto& [pg, bytes] : dead_bytes_) {
+  PutVarint64(&out, free_bytes_.size());
+  for (const auto& [pg, bytes] : free_bytes_) {
     PutFixed32(&out, pg);
     PutVarint64(&out, bytes);
   }
@@ -322,24 +414,24 @@ Status NoteStore::DecodeMetaBlob(std::string_view input) {
   if (!GetVarint64(&input, &n)) {
     return Status::Corruption("pager meta: dead bytes");
   }
-  std::map<uint32_t, uint64_t> dead;
-  uint64_t dead_total = 0;
+  std::map<uint32_t, uint64_t> free_bytes;
   for (uint64_t i = 0; i < n; ++i) {
     uint32_t pg = 0;
     uint64_t bytes = 0;
     if (!GetFixed32(&input, &pg) || !GetVarint64(&input, &bytes)) {
       return Status::Corruption("pager meta: dead bytes truncated");
     }
-    dead[pg] = bytes;
-    dead_total += bytes;
+    free_bytes[pg] = bytes;
   }
   pager_->SetState(page_count, free_pages);
   next_id_ = next_id;
   fill_page_ = fill_page;
   id_table_pages_ = std::move(table);
-  dead_bytes_ = std::move(dead);
-  dead_total_ = dead_total;
-  gauge_dead_bytes_->Set(static_cast<int64_t>(dead_total_));
+  free_bytes_.clear();
+  pages_by_free_.clear();
+  free_total_ = 0;
+  for (const auto& [pg, bytes] : free_bytes) SetFreeBytes(pg, bytes);
+  gauge_dead_bytes_->Set(static_cast<int64_t>(free_total_));
   return Status::Ok();
 }
 
@@ -491,39 +583,73 @@ Status NoteStore::WriteEntry(NoteId id, const IdEntry& entry) {
 
 // -- Note placement --------------------------------------------------------
 
-Status NoteStore::PlaceSlot(std::string_view encoded, uint32_t* page,
-                            uint16_t* slot) {
+void NoteStore::SetFreeBytes(uint32_t pgno, uint64_t bytes) {
+  auto it = free_bytes_.find(pgno);
+  if (it != free_bytes_.end()) {
+    free_total_ -= it->second;
+    pages_by_free_.erase({it->second, pgno});
+    free_bytes_.erase(it);
+  }
+  if (bytes > 0) {
+    free_bytes_.emplace(pgno, bytes);
+    pages_by_free_.emplace(bytes, pgno);
+    free_total_ += bytes;
+  }
+  gauge_dead_bytes_->Set(static_cast<int64_t>(free_total_));
+}
+
+void NoteStore::CountFreeBytes(uint32_t pgno, const char* data, bool add) {
+  if (!add && free_bytes_.count(pgno) == 0) return;
+  // The fill page's gap is its append room, which COMPACT cannot reclaim.
   const uint32_t page_size = pager_->page_size();
-  pager::PageRef ref;
+  uint64_t bytes = FreeBytes(data, page_size);
+  if (pgno == fill_page_) bytes -= GapBytes(data, page_size);
+  SetFreeBytes(pgno, bytes);
+}
+
+Status NoteStore::PlaceSlot(std::string_view encoded, bool reuse_free_space,
+                            uint32_t* page, uint16_t* slot) {
+  const uint32_t page_size = pager_->page_size();
+  auto insert = [&](pager::PageRef& ref, bool slide,
+                    stats::Counter* counter) {
+    const int written =
+        InsertSlot(ref.data(), page_size, encoded, kAnySlot, slide);
+    if (written < 0) return false;
+    ref.MarkDirty();
+    CountFreeBytes(ref.pgno(), ref.data(), false);
+    counter->Add();
+    *page = ref.pgno();
+    *slot = static_cast<uint16_t>(written);
+    return true;
+  };
+  // The fill page takes a note in its gap only: sliding would move its
+  // counted holes into the uncounted gap, and COMPACT, which fills this
+  // page, would then reclaim less than dead_bytes() promised.
+  pager::PageRef fill;
   if (fill_page_ != kInvalidPage) {
-    DOMINO_ASSIGN_OR_RETURN(ref, pool_->Pin(fill_page_));
-    const uint16_t nslots = PageNSlots(ref.data());
-    const uint16_t free_off = PageFreeOff(ref.data());
-    const size_t needed = encoded.size() + kSlotOverhead;
-    if (free_off + needed > DirOffset(page_size, nslots)) {
-      ref.Release();  // full — start a fresh fill page
-      fill_page_ = kInvalidPage;
+    DOMINO_ASSIGN_OR_RETURN(fill, pool_->Pin(fill_page_));
+    if (insert(fill, false, ctr_place_appended_)) return Status::Ok();
+  }
+  if (reuse_free_space) {
+    auto it = pages_by_free_.rbegin();
+    if (it != pages_by_free_.rend() && it->second == fill_page_) ++it;
+    if (it != pages_by_free_.rend() &&
+        it->first >= encoded.size() + kSlotOverhead) {
+      DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref, pool_->Pin(it->second));
+      if (insert(ref, true, ctr_place_reused_)) return Status::Ok();
     }
   }
-  if (fill_page_ == kInvalidPage) {
-    uint32_t pgno = pager_->Allocate();
-    ref = pool_->PinNew(pgno, pager::kPageBucket);
-    StoreU16(ref.data() + pager::kPageFreeOffOffset,
-             static_cast<uint16_t>(kPageHeaderSize));
-    fill_page_ = pgno;
+  // A fresh page takes over as the fill page; the old one's gap now
+  // counts as free space if it is mapped.
+  const uint32_t pgno = pager_->Allocate();
+  pager::PageRef ref = pool_->PinNew(pgno, pager::kPageBucket);
+  StoreU16(ref.data() + pager::kPageFreeOffOffset,
+           static_cast<uint16_t>(kPageHeaderSize));
+  fill_page_ = pgno;
+  if (fill) CountFreeBytes(fill.pgno(), fill.data(), false);
+  if (!insert(ref, false, ctr_place_appended_)) {
+    return Status::Corruption("note does not fit an empty bucket page");
   }
-  char* data = ref.data();
-  const uint16_t nslots = PageNSlots(data);
-  const uint16_t free_off = PageFreeOff(data);
-  StoreU16(data + free_off, static_cast<uint16_t>(encoded.size()));
-  std::memcpy(data + free_off + 2, encoded.data(), encoded.size());
-  StoreU16(data + DirOffset(page_size, nslots), free_off);
-  StoreU16(data + pager::kPageNSlotsOffset, static_cast<uint16_t>(nslots + 1));
-  StoreU16(data + pager::kPageFreeOffOffset,
-           static_cast<uint16_t>(free_off + 2 + encoded.size()));
-  ref.MarkDirty();
-  *page = fill_page_;
-  *slot = nslots;
   return Status::Ok();
 }
 
@@ -532,7 +658,7 @@ Status NoteStore::PlaceNote(std::string_view encoded, IdEntry* entry) {
   const size_t inline_max = page_size - kPageHeaderSize - kSlotOverhead;
   if (encoded.size() <= inline_max) {
     entry->flags &= static_cast<uint8_t>(~kEntryOverflow);
-    return PlaceSlot(encoded, &entry->page, &entry->slot);
+    return PlaceSlot(encoded, true, &entry->page, &entry->slot);
   }
   // Oversized note: spill into an overflow chain, one chunk per page.
   const size_t chunk_max = page_size - kPageHeaderSize;
@@ -559,10 +685,12 @@ Status NoteStore::PlaceNote(std::string_view encoded, IdEntry* entry) {
   entry->page = first;
   entry->slot = 0;
   entry->flags |= kEntryOverflow;
+  ctr_place_appended_->Add();
   return Status::Ok();
 }
 
-Status NoteStore::KillLocation(const IdEntry& entry) {
+Result<bool> NoteStore::KillLocation(const IdEntry& entry,
+                                     const std::string* replacement) {
   if (entry.flags & kEntryOverflow) {
     uint32_t pgno = entry.page;
     while (pgno != kInvalidPage) {
@@ -579,8 +707,9 @@ Status NoteStore::KillLocation(const IdEntry& entry) {
       ctr_pages_freed_inline_->Add();
       pgno = next;
     }
-    return Status::Ok();
+    return false;
   }
+  bool rewritten = false;
   bool whole_dead = true;
   {
     DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref, pool_->Pin(entry.page));
@@ -591,32 +720,31 @@ Status NoteStore::KillLocation(const IdEntry& entry) {
       return Status::Corruption("bad slot reference in id table");
     }
     const size_t dir = DirOffset(page_size, entry.slot);
-    const uint16_t off = LoadU16(data + dir);
-    if (off == kDeadSlot) {
+    if (LoadU16(data + dir) == kDeadSlot) {
       return Status::Corruption("double kill of bucket slot");
     }
-    const uint16_t len = LoadU16(data + off);
     StoreU16(data + dir, kDeadSlot);
     ref.MarkDirty();
-    dead_bytes_[entry.page] += len + kSlotOverhead;
-    dead_total_ += len + kSlotOverhead;
-    for (uint16_t i = 0; i < nslots && whole_dead; ++i) {
+    rewritten =
+        replacement != nullptr &&
+        InsertSlot(data, page_size, *replacement, entry.slot, true) >= 0;
+    for (uint16_t i = 0; i < PageNSlots(data) && whole_dead; ++i) {
       if (LoadU16(data + DirOffset(page_size, i)) != kDeadSlot) {
         whole_dead = false;
       }
     }
+    if (!whole_dead) CountFreeBytes(entry.page, data, true);
   }
   if (whole_dead) {
     // Last live slot died: reclaim the page without waiting for COMPACT.
-    dead_total_ -= dead_bytes_[entry.page];
-    dead_bytes_.erase(entry.page);
+    SetFreeBytes(entry.page, 0);
     pool_->Discard(entry.page);
     pager_->Free(entry.page);
     if (fill_page_ == entry.page) fill_page_ = kInvalidPage;
     ctr_pages_freed_inline_->Add();
   }
-  gauge_dead_bytes_->Set(static_cast<int64_t>(dead_total_));
-  return Status::Ok();
+  if (rewritten) ctr_place_in_place_->Add();
+  return rewritten;
 }
 
 Result<Note> NoteStore::ReadNoteAt(const IdEntry& entry) const {
@@ -771,8 +899,11 @@ Result<std::pair<bool, bool>> NoteStore::ApplyNote(Note&& note) {
   DOMINO_ASSIGN_OR_RETURN(IdEntry old_entry, ReadEntry(id));
   const bool existed = (old_entry.flags & kEntryUsed) != 0;
   const bool was_live = existed && (old_entry.flags & kEntryDeleted) == 0;
+  std::string encoded = note.EncodeToString();
+  bool in_place = false;
   if (existed) {
-    DOMINO_RETURN_IF_ERROR(KillLocation(old_entry));
+    // An update goes back onto its own page when it fits there.
+    DOMINO_ASSIGN_OR_RETURN(in_place, KillLocation(old_entry, &encoded));
     if (!(old_entry.unid == note.unid())) {
       unid_index_.erase(old_entry.unid);
     }
@@ -782,13 +913,17 @@ Result<std::pair<bool, bool>> NoteStore::ApplyNote(Note&& note) {
       --live_count_;
     }
   }
-  std::string encoded = note.EncodeToString();
   IdEntry entry;
   entry.unid = note.unid();
   entry.flags = kEntryUsed;
   if (note.deleted()) entry.flags |= kEntryDeleted;
   entry.seq_time = note.sequence_time();
-  DOMINO_RETURN_IF_ERROR(PlaceNote(encoded, &entry));
+  if (in_place) {
+    entry.page = old_entry.page;
+    entry.slot = old_entry.slot;
+  } else {
+    DOMINO_RETURN_IF_ERROR(PlaceNote(encoded, &entry));
+  }
   DOMINO_RETURN_IF_ERROR(WriteEntry(id, entry));
   unid_index_[note.unid()] = id;
   if (note.deleted()) {
@@ -801,7 +936,7 @@ Result<std::pair<bool, bool>> NoteStore::ApplyNote(Note&& note) {
 }
 
 Status NoteStore::ApplyErase(NoteId id, const IdEntry& entry) {
-  DOMINO_RETURN_IF_ERROR(KillLocation(entry));
+  DOMINO_RETURN_IF_ERROR(KillLocation(entry, nullptr).status());
   DOMINO_RETURN_IF_ERROR(WriteEntry(id, IdEntry{}));
   unid_index_.erase(entry.unid);
   if (entry.flags & kEntryDeleted) {
@@ -1137,7 +1272,7 @@ Result<size_t> NoteStore::CompactStep(size_t max_pages) {
 
 Result<size_t> NoteStore::CompactDeadPages(size_t max_pages) {
   std::vector<uint32_t> candidates;
-  for (const auto& [pg, bytes] : dead_bytes_) {
+  for (const auto& [pg, bytes] : free_bytes_) {
     if (pg == fill_page_) continue;
     candidates.push_back(pg);
     if (candidates.size() >= max_pages) break;
@@ -1146,7 +1281,7 @@ Result<size_t> NoteStore::CompactDeadPages(size_t max_pages) {
   uint64_t bytes_reclaimed = 0;
   uint64_t moved = 0;
   for (uint32_t pg : candidates) {
-    const uint64_t dead = dead_bytes_[pg];
+    const uint64_t dead = free_bytes_[pg];
     // Copy out the live slots, then free the husk before re-placing so
     // the allocator may immediately reuse the page. In-memory only —
     // durability comes from the next checkpoint, and a crash before it
@@ -1167,8 +1302,7 @@ Result<size_t> NoteStore::CompactDeadPages(size_t max_pages) {
         live.emplace_back(data + off + 2, len);
       }
     }
-    dead_total_ -= dead;
-    dead_bytes_.erase(pg);
+    SetFreeBytes(pg, 0);
     pool_->Discard(pg);
     pager_->Free(pg);
     for (const std::string& encoded : live) {
@@ -1178,7 +1312,10 @@ Result<size_t> NoteStore::CompactDeadPages(size_t max_pages) {
       if ((entry.flags & kEntryUsed) == 0 || entry.page != pg) {
         return Status::Corruption("compact: id table disagrees with slot");
       }
-      DOMINO_RETURN_IF_ERROR(PlaceSlot(encoded, &entry.page, &entry.slot));
+      // Never into another mapped page: that page would stay mapped, and
+      // a COMPACT run to dry would leave dead bytes behind.
+      DOMINO_RETURN_IF_ERROR(
+          PlaceSlot(encoded, false, &entry.page, &entry.slot));
       DOMINO_RETURN_IF_ERROR(WriteEntry(id, entry));
       ++moved;
     }
@@ -1194,7 +1331,6 @@ Result<size_t> NoteStore::CompactDeadPages(size_t max_pages) {
     ctr_compact_pages_->Add(reclaimed);
     ctr_compact_bytes_->Add(bytes_reclaimed);
     ctr_compact_moved_->Add(moved);
-    gauge_dead_bytes_->Set(static_cast<int64_t>(dead_total_));
   }
   return reclaimed;
 }
@@ -1264,10 +1400,11 @@ Result<size_t> NoteStore::RelocatePage(uint32_t from) {
         entry.page = to;
         DOMINO_RETURN_IF_ERROR(WriteEntry(id, entry));
       }
-      auto dead = dead_bytes_.extract(from);
-      if (!dead.empty()) {
-        dead.key() = to;
-        dead_bytes_.insert(std::move(dead));
+      auto free_bytes = free_bytes_.find(from);
+      if (free_bytes != free_bytes_.end()) {
+        const uint64_t bytes = free_bytes->second;
+        SetFreeBytes(from, 0);
+        SetFreeBytes(to, bytes);
       }
       if (fill_page_ == from) fill_page_ = to;
       break;
@@ -1337,7 +1474,22 @@ Status NoteStore::MaybeCompact() {
 
 uint64_t NoteStore::dead_bytes() const {
   ReaderLock lock(&mu_);
-  return dead_total_;
+  return free_total_;
+}
+
+Result<uint64_t> NoteStore::RecountDeadBytes() const {
+  ReaderLock lock(&mu_);
+  const uint32_t page_size = pager_->page_size();
+  uint64_t total = 0;
+  for (const auto& [pg, bytes] : free_bytes_) {
+    DOMINO_ASSIGN_OR_RETURN(pager::PageRef ref, pool_->Pin(pg));
+    if (PageTypeOf(ref.data()) != pager::kPageBucket) {
+      return Status::Corruption("free-space map names a non-bucket page");
+    }
+    total += FreeBytes(ref.data(), page_size);
+    if (pg == fill_page_) total -= GapBytes(ref.data(), page_size);
+  }
+  return total;
 }
 
 uint64_t NoteStore::wal_size_bytes() const {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,8 +67,8 @@ struct StoreOptions {
   /// Buffer-pool capacity in pages. The working set this many pages can
   /// hold is the only part of the database that must fit in RAM.
   size_t cache_pages = 4096;
-  /// MaybeCompact() runs an incremental COMPACT slice once the dead
-  /// bytes left behind by updates, erases and purges exceed this volume
+  /// MaybeCompact() runs an incremental COMPACT slice once the free
+  /// bytes on mapped pages (see NoteStore::dead_bytes) exceed this volume
   /// (0 disables background compaction).
   uint64_t compact_threshold_bytes = 8ull << 20;
   /// Test-only crash injection: when set, invoked at named points inside
@@ -118,12 +119,19 @@ struct CompactStats {
 /// marker (images first if a snapshot record is present, then the
 /// logical records).
 ///
-/// Compaction: updates and erases leave dead slot bytes behind;
-/// CompactStep() copies the live slots of the deadest pages into fresh
-/// pages and frees the husks, then moves in-use pages off the file tail
-/// into the freed holes so the next checkpoint can truncate the file.
-/// The owning Database slices it under brief writer locks so readers
-/// interleave (the online Domino COMPACT).
+/// Space reuse: one per-page free-space map records, for every bucket
+/// page on which a slot has died, the bytes no live slot holds. An update
+/// goes back onto its own page under its old slot number (sliding the
+/// live slots together when the gap is too small), and a new note that
+/// does not fit the fill page goes to the mapped page with the most free
+/// bytes before the file grows.
+///
+/// Compaction: CompactStep() copies the live slots of mapped pages into
+/// the fill page or fresh pages (never into another mapped page) and
+/// frees the husks, then moves in-use pages off the file tail into the
+/// freed holes so the next checkpoint can truncate the file. The owning
+/// Database slices it under brief writer locks so readers interleave
+/// (the online Domino COMPACT).
 ///
 /// Threading: the store carries its own reader/writer lock. Public reads
 /// take it shared; the apply step of every write, Checkpoint and
@@ -218,8 +226,8 @@ class NoteStore {
 
   // -- COMPACT ----------------------------------------------------------
   /// One bounded compaction slice: rewrites up to `max_pages` of the
-  /// bucket pages carrying dead bytes, moving their live notes into the
-  /// current fill page and freeing the husks. Once no such page is left,
+  /// mapped bucket pages, moving their live notes into the current fill
+  /// page and freeing the husks. Once no such page is left,
   /// the slice instead relocates up to `max_pages` in-use pages from the
   /// file tail into the lowest free pages. Returns the number of pages
   /// reclaimed or relocated (0 = no dead page and no free page left, so
@@ -229,12 +237,16 @@ class NoteStore {
   Result<size_t> CompactStep(size_t max_pages);
 
   /// Runs one dead-page slice of CompactStep (never a relocation) when
-  /// accumulated dead bytes exceed `compact_threshold_bytes` (the
-  /// background COMPACT task hook).
+  /// dead_bytes() exceeds `compact_threshold_bytes` (the background
+  /// COMPACT task hook).
   Status MaybeCompact();
 
-  /// Dead bytes currently reclaimable by COMPACT.
+  /// Bytes COMPACT can reclaim: the free bytes of every page in the
+  /// free-space map (the fill page's gap excluded).
   uint64_t dead_bytes() const;
+  /// What dead_bytes() should read, recounted from the mapped pages
+  /// themselves (a consistency check).
+  Result<uint64_t> RecountDeadBytes() const;
 
   StoreStats stats() const;
   CompactStats compact_stats() const;
@@ -298,15 +310,27 @@ class NoteStore {
   Status WriteEntry(NoteId id, const IdEntry& entry) REQUIRES(mu_);
 
   // -- Note placement ----------------------------------------------------
-  /// Appends `encoded` into the current fill page (allocating one when
-  /// needed), or spills to an overflow chain; fills in entry location.
+  /// Places `encoded` in a bucket slot (see PlaceSlot) or spills it to an
+  /// overflow chain; fills in entry location.
   Status PlaceNote(std::string_view encoded, IdEntry* entry) REQUIRES(mu_);
-  Status PlaceSlot(std::string_view encoded, uint32_t* page, uint16_t* slot)
-      REQUIRES(mu_);
+  /// Places `encoded` in the fill page; else, when `reuse_free_space`, in
+  /// the mapped page with the most free bytes; else in a fresh page that
+  /// becomes the fill page. COMPACT passes false.
+  Status PlaceSlot(std::string_view encoded, bool reuse_free_space,
+                   uint32_t* page, uint16_t* slot) REQUIRES(mu_);
   /// Releases the bytes behind an entry's location (slot kill or
-  /// overflow-chain free) and updates dead-byte accounting; frees the
-  /// page outright when its last live slot dies.
-  Status KillLocation(const IdEntry& entry) REQUIRES(mu_);
+  /// overflow-chain free) and updates the free-space map; frees the page
+  /// outright when its last live slot dies. A `replacement` that fits
+  /// back into the page is written there under the same slot number, and
+  /// the result is true.
+  Result<bool> KillLocation(const IdEntry& entry,
+                            const std::string* replacement) REQUIRES(mu_);
+  /// Recounts page `pgno`'s free-space entry from its image `data`; a page
+  /// outside the map joins it only when `add` is set (a slot on it died).
+  void CountFreeBytes(uint32_t pgno, const char* data, bool add)
+      REQUIRES(mu_);
+  /// Sets page `pgno`'s free-space entry (0 removes it) and the totals.
+  void SetFreeBytes(uint32_t pgno, uint64_t bytes) REQUIRES(mu_);
   Result<Note> ReadNoteAt(const IdEntry& entry) const REQUIRES_SHARED(mu_);
   /// Concatenates the chunks of the overflow chain starting at `head`;
   /// collects the chain's page numbers when `pages` is non-null.
@@ -365,10 +389,14 @@ class NoteStore {
   std::vector<uint32_t> id_table_pages_ GUARDED_BY(mu_);
   /// Bucket page currently accepting new slots.
   uint32_t fill_page_ GUARDED_BY(mu_) = pager::kInvalidPage;
-  /// Dead (reclaimable) payload bytes per bucket page — COMPACT's work
-  /// queue. Ordered so compaction scans low pages first.
-  std::map<uint32_t, uint64_t> dead_bytes_ GUARDED_BY(mu_);
-  uint64_t dead_total_ GUARDED_BY(mu_) = 0;
+  /// The free-space map: for each bucket page on which a slot has died,
+  /// the bytes no live slot holds (dead slots, dead directory words and,
+  /// except on the fill page, the gap). Placement's reuse list and
+  /// COMPACT's work queue; ordered so compaction scans low pages first.
+  std::map<uint32_t, uint64_t> free_bytes_ GUARDED_BY(mu_);
+  /// The same entries ordered by free bytes: the most-free lookup.
+  std::set<std::pair<uint64_t, uint32_t>> pages_by_free_ GUARDED_BY(mu_);
+  uint64_t free_total_ GUARDED_BY(mu_) = 0;
 
   std::unordered_map<Unid, NoteId> unid_index_ GUARDED_BY(mu_);
   std::atomic<NoteId> next_id_{1};
@@ -396,6 +424,9 @@ class NoteStore {
   stats::Counter* ctr_compact_moved_;
   stats::Counter* ctr_compact_relocated_;
   stats::Counter* ctr_pages_freed_inline_;
+  stats::Counter* ctr_place_in_place_;
+  stats::Counter* ctr_place_reused_;
+  stats::Counter* ctr_place_appended_;
   stats::Gauge* gauge_notes_;
   stats::Gauge* gauge_dead_bytes_;
   stats::Histogram* hist_commit_micros_;

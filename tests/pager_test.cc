@@ -880,6 +880,320 @@ TEST(IdTableHoleTest, LogReplayFreesTheSamePages) {
   ASSERT_NO_FATAL_FAILURE(ExpectStoreMatchesModel(*store, 60, model));
 }
 
+// ------------------------------------------------------------ Space reuse --
+
+// dead_bytes() agrees with a recount from the pages themselves.
+void ExpectDeadBytesRecount(const NoteStore& store) {
+  ASSERT_OK_AND_ASSIGN(uint64_t recount, store.RecountDeadBytes());
+  EXPECT_EQ(store.dead_bytes(), recount);
+}
+
+std::map<NoteId, std::string> Encode(const std::map<NoteId, Note>& notes) {
+  std::map<NoteId, std::string> encoded;
+  for (const auto& [id, note] : notes) encoded[id] = note.EncodeToString();
+  return encoded;
+}
+
+// Rewrites `note` with a body of `len` bytes of `fill`.
+void RewriteBody(NoteStore* store, Note* note, size_t len, char fill) {
+  note->SetText("Body", std::string(len, fill));
+  ASSERT_OK(store->Put(note));
+}
+
+TEST(SpaceReuseTest, SameSizeRewritesKeepThePageCount) {
+  ScratchDir dir;
+  ASSERT_OK_AND_ASSIGN(auto store, NoteStore::Open(dir.Sub("db"),
+                                                   TinyPagedOptions(),
+                                                   PagedInfo()));
+  std::vector<Note> notes;
+  for (int i = 0; i < 40; ++i) {
+    notes.push_back(SizedDoc(static_cast<uint64_t>(i + 1), i + 1, 60 + i));
+    ASSERT_OK(store->Put(&notes.back()));
+  }
+  // A same-size update always fits back into its own page, so the page
+  // count never moves. Each pass rewrites every note once, in a shuffled
+  // order, so an appended rewrite would leave its old slot dead on a page
+  // that other notes keep alive.
+  const uint32_t loaded = store->used_pages();
+  Rng rng(20);
+  std::vector<size_t> order(notes.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (int pass = 0; pass < 20; ++pass) {
+    for (size_t i = 0; i + 1 < order.size(); ++i) {
+      std::swap(order[i], order[i + rng.Uniform(order.size() - i)]);
+    }
+    for (size_t i : order) {
+      ASSERT_NO_FATAL_FAILURE(RewriteBody(
+          store.get(), &notes[i], notes[i].GetText("Body").size(),
+          static_cast<char>('c' + pass % 20)));
+    }
+    EXPECT_EQ(store->used_pages(), loaded) << "pass " << pass;
+    ASSERT_NO_FATAL_FAILURE(ExpectDeadBytesRecount(*store));
+  }
+  for (const Note& note : notes) {
+    ASSERT_OK_AND_ASSIGN(Note read, store->Get(note.id()));
+    EXPECT_EQ(read.EncodeToString(), note.EncodeToString());
+  }
+}
+
+TEST(SpaceReuseTest, RandomStepsMatchAModel) {
+  ScratchDir dir;
+  const std::string db_dir = dir.Sub("db");
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(db_dir, TinyPagedOptions(),
+                                       PagedInfo()));
+  std::map<NoteId, Note> model;
+  auto pick = [&](Rng* rng) {
+    auto it = model.begin();
+    std::advance(it, rng->Uniform(model.size()));
+    return it;
+  };
+  Rng rng(1717);
+  Micros t = 1;
+  for (int step = 0; step < 1500; ++step) {
+    const uint64_t dice = rng.Uniform(100);
+    if (dice < 30 || model.empty()) {
+      // Create; one in ten spills into an overflow chain.
+      Note note = SizedDoc(rng.Next(), t++,
+                           rng.Uniform(10) == 0 ? 600 + rng.Uniform(900)
+                                                : rng.Uniform(260));
+      ASSERT_OK(store->Put(&note));
+      model[note.id()] = note;
+    } else if (dice < 70) {
+      // Grow or shrink, sometimes across the overflow threshold.
+      auto it = pick(&rng);
+      if (it->second.deleted()) continue;
+      const size_t len = rng.Uniform(8) == 0 ? rng.Uniform(1000)
+                                             : rng.Uniform(300);
+      it->second.BumpSequence(t++);
+      ASSERT_NO_FATAL_FAILURE(
+          RewriteBody(store.get(), &it->second, len, 'g'));
+    } else if (dice < 80) {
+      auto it = pick(&rng);
+      it->second.MakeStub(t++);
+      ASSERT_OK(store->Put(&it->second));
+    } else if (dice < 88) {
+      auto it = pick(&rng);
+      ASSERT_OK(store->Erase(it->first));
+      model.erase(it);
+    } else if (dice < 91) {
+      const Micros now = t + store->info().purge_interval -
+                         static_cast<Micros>(rng.Uniform(200));
+      ASSERT_OK(store->PurgeStubs(now).status());
+      const Micros cutoff = now - store->info().purge_interval;
+      for (auto it = model.begin(); it != model.end();) {
+        if (it->second.deleted() && it->second.sequence_time() < cutoff) {
+          it = model.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    } else if (dice < 96) {
+      ASSERT_OK(store->CompactStep(1 + rng.Uniform(4)).status());
+    } else if (dice < 98) {
+      ASSERT_OK(store->Checkpoint());
+    } else {
+      // Reopen, with or without a checkpoint first.
+      if (rng.Uniform(2) == 0) ASSERT_OK(store->Checkpoint());
+      store.reset();
+      ASSERT_OK_AND_ASSIGN(store, NoteStore::Open(db_dir, TinyPagedOptions(),
+                                                  PagedInfo()));
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectDeadBytesRecount(*store)) << "step " << step;
+    ASSERT_EQ(store->total_count(), model.size()) << "step " << step;
+    if (step % 10 == 0 || dice >= 91) {
+      ASSERT_EQ(EncodedNotes(*store), Encode(model)) << "step " << step;
+    }
+  }
+  // COMPACT run to dry reclaims every free byte but the fill page's holes
+  // (placing through the free-space map would spend some of them on the
+  // moved notes), then packs the file.
+  const uint64_t dead = store->dead_bytes();
+  const uint64_t reclaimed = store->compact_stats().bytes_reclaimed;
+  ASSERT_NO_FATAL_FAILURE(CompactUntilDry(store.get()));
+  EXPECT_LT(store->dead_bytes(), uint64_t{store->page_size()});
+  EXPECT_GE(store->compact_stats().bytes_reclaimed - reclaimed +
+                store->dead_bytes(),
+            dead);
+  ASSERT_NO_FATAL_FAILURE(ExpectDeadBytesRecount(*store));
+  ASSERT_OK(store->Checkpoint());
+  EXPECT_EQ(store->free_pages(), 0u);
+  for (const auto& [id, note] : model) {
+    ASSERT_OK_AND_ASSIGN(Note read, store->Get(id));
+    EXPECT_EQ(read.EncodeToString(), note.EncodeToString()) << "note " << id;
+  }
+}
+
+// Four notes of ~180 encoded bytes on 512-byte pages: two per page, so
+// the first two share a fresh bucket page and the last two the next one
+// (the fill page). Erasing the first note maps the first page; a fifth
+// note reuses its dead directory slot, and growing the second note slides
+// the page. Returns the notes by id.
+std::map<NoteId, Note> DefragmentFirstPage(NoteStore* store, Micros* t) {
+  std::map<NoteId, Note> notes;
+  std::vector<NoteId> ids;
+  for (int i = 0; i < 4; ++i) {
+    Note note = SizedDoc(static_cast<uint64_t>(i + 1), (*t)++, 90);
+    EXPECT_OK(store->Put(&note));
+    notes[note.id()] = note;
+    ids.push_back(note.id());
+  }
+  EXPECT_OK(store->Erase(ids[0]));
+  notes.erase(ids[0]);
+  Note fifth = SizedDoc(5, (*t)++, 90);
+  EXPECT_OK(store->Put(&fifth));
+  notes[fifth.id()] = fifth;
+  Note& second = notes[ids[1]];
+  second.SetText("Body", std::string(200, 'G'));
+  second.BumpSequence((*t)++);
+  EXPECT_OK(store->Put(&second));
+  return notes;
+}
+
+TEST(SpaceReuseTest, PlacementCountersMove) {
+  ScratchDir dir;
+  stats::StatRegistry registry;
+  StoreOptions options = TinyPagedOptions();
+  options.stats = &registry;
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       NoteStore::Open(dir.Sub("db"), options, PagedInfo()));
+  auto count = [&](const char* name) {
+    return registry.GetCounter(name).value();
+  };
+  Micros t = 1;
+  const std::map<NoteId, Note> notes = DefragmentFirstPage(store.get(), &t);
+  // Four creates appended (two pages), note 5 reused the first page, and
+  // the grown note 2 stayed on it.
+  EXPECT_EQ(count("Store.Place.Appended"), 4u);
+  EXPECT_EQ(count("Store.Place.Reused"), 1u);
+  EXPECT_EQ(count("Store.Place.InPlace"), 1u);
+  EXPECT_EQ(store->used_pages(), 3u);  // two bucket pages + the id table
+  EXPECT_EQ(EncodedNotes(*store), Encode(notes));
+  ASSERT_NO_FATAL_FAILURE(ExpectDeadBytesRecount(*store));
+  // A note too big for any page's free space opens a fresh fill page.
+  Note big = SizedDoc(6, t++, 380);
+  ASSERT_OK(store->Put(&big));
+  EXPECT_EQ(count("Store.Place.Appended"), 5u);
+  EXPECT_EQ(store->used_pages(), 4u);
+}
+
+TEST(SpaceReuseTest, DefragmentingKeepsNeighboursIntact) {
+  ScratchDir dir;
+  const std::string db_dir = dir.Sub("db");
+  std::map<NoteId, std::string> expected;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, NoteStore::Open(db_dir,
+                                                     TinyPagedOptions(),
+                                                     PagedInfo()));
+    Micros t = 1;
+    // Three ~100-byte notes per page; grow and shrink the middle note of
+    // every page so each rewrite slides its neighbours.
+    std::vector<Note> notes;
+    for (int i = 0; i < 30; ++i) {
+      notes.push_back(SizedDoc(static_cast<uint64_t>(i + 1), t++, 40));
+      ASSERT_OK(store->Put(&notes.back()));
+    }
+    ASSERT_OK(store->Checkpoint());
+    const uint32_t used = store->used_pages();
+    for (int round = 0; round < 6; ++round) {
+      for (size_t i = 1; i < notes.size(); i += 3) {
+        notes[i].BumpSequence(t++);
+        ASSERT_NO_FATAL_FAILURE(RewriteBody(store.get(), &notes[i],
+                                            round % 2 == 0 ? 120 : 10,
+                                            static_cast<char>('k' + round)));
+        for (const Note& note : notes) {
+          ASSERT_OK_AND_ASSIGN(Note read, store->Get(note.id()));
+          ASSERT_EQ(read.EncodeToString(), note.EncodeToString())
+              << "round " << round << " note " << note.id();
+        }
+      }
+      EXPECT_EQ(store->used_pages(), used) << "round " << round;
+    }
+    for (const Note& note : notes) expected[note.id()] = note.EncodeToString();
+    ASSERT_NO_FATAL_FAILURE(ExpectDeadBytesRecount(*store));
+    // "Crash": no checkpoint since the rewrites; replay rebuilds them.
+  }
+  ASSERT_OK_AND_ASSIGN(auto store, NoteStore::Open(db_dir, TinyPagedOptions(),
+                                                   PagedInfo()));
+  EXPECT_GT(store->stats().recovered_records, 0u);
+  EXPECT_EQ(EncodedNotes(*store), expected);
+  ASSERT_NO_FATAL_FAILURE(ExpectDeadBytesRecount(*store));
+}
+
+TEST(SpaceReuseTest, CrashWithoutCheckpointReplaysTheSameNotes) {
+  ScratchDir dir;
+  const std::string db_dir = dir.Sub("db");
+  std::map<NoteId, std::string> before;
+  uint32_t used = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, NoteStore::Open(db_dir,
+                                                     TinyPagedOptions(),
+                                                     PagedInfo()));
+    Micros t = 1;
+    before = Encode(DefragmentFirstPage(store.get(), &t));
+    ASSERT_EQ(EncodedNotes(*store), before);
+    used = store->used_pages();
+  }
+  ASSERT_OK_AND_ASSIGN(auto store, NoteStore::Open(db_dir, TinyPagedOptions(),
+                                                   PagedInfo()));
+  EXPECT_GT(store->stats().recovered_records, 0u);
+  EXPECT_EQ(EncodedNotes(*store), before);
+  // Replay ran the same placements, so the layout matches too.
+  EXPECT_EQ(store->used_pages(), used);
+  ASSERT_NO_FATAL_FAILURE(ExpectDeadBytesRecount(*store));
+}
+
+TEST(SpaceReuseTest, ReadersSeeIntactNotesDuringRewrites) {
+  ScratchDir dir;
+  DatabaseOptions options;
+  options.store.sync_mode = wal::SyncMode::kNone;
+  options.store.checkpoint_threshold_bytes = 0;
+  options.store.page_size = 512;
+  options.store.cache_pages = 16;
+  options.title = "reuse-online";
+  SimClock clock(1'000'000);
+  ASSERT_OK_AND_ASSIGN(auto db, Database::Open(dir.Sub("db"), options,
+                                               &clock));
+  // Stable notes share pages with churned ones, so every churn rewrite
+  // slides a stable note's bytes while readers read it.
+  std::vector<NoteId> stable;
+  std::vector<NoteId> churned;
+  for (int i = 0; i < 60; ++i) {
+    Note note = MakeDoc("Memo", "doc" + std::to_string(i));
+    note.SetText("Body", std::string(60, 's'));
+    ASSERT_OK_AND_ASSIGN(NoteId id, db->CreateNote(std::move(note)));
+    (i % 2 == 0 ? stable : churned).push_back(id);
+    clock.Advance(1'000'000);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(static_cast<uint64_t>(r) + 11);
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto note = db->ReadNote(stable[rng.Uniform(stable.size())]);
+        if (!note.ok() || note->GetText("Body") != std::string(60, 's')) {
+          failed = true;
+          return;
+        }
+      }
+    });
+  }
+  Rng rng(5);
+  for (int i = 0; i < 600; ++i) {
+    const NoteId id = churned[rng.Uniform(churned.size())];
+    ASSERT_OK_AND_ASSIGN(Note note, db->ReadNote(id));
+    note.SetText("Body", std::string(rng.Uniform(140), 'c'));
+    ASSERT_OK(db->UpdateNote(std::move(note)));
+    clock.Advance(1'000);
+  }
+  stop = true;
+  for (auto& t : readers) t.join();
+  EXPECT_FALSE(failed);
+  ASSERT_NO_FATAL_FAILURE(ExpectDeadBytesRecount(*db->store()));
+}
+
 // ------------------------------------------------------ Crash-recovery matrix --
 
 // Full sweep (every fault point × every tearable page, every WAL cut
@@ -1068,6 +1382,35 @@ TEST_P(CheckpointFaultMatrix, FreedIdTablePageRecoversFromLoggedImages) {
     Note fresh = SizedDoc(61, 61, 10);
     ASSERT_OK(store->Put(&fresh));
     model[fresh.id()] = fresh.EncodeToString();
+    CrashCheckpoint(store.get());
+  }
+  ExpectRecoveryFromEveryTornPage(db_dir, pages_before, model);
+}
+
+// A checkpoint that dies while writing out a page that was defragmented
+// in place and has a reused dead directory slot.
+TEST_P(CheckpointFaultMatrix, DefragmentedPageRecoversFromLoggedImages) {
+  ScratchDir dir;
+  std::string db_dir = dir.Sub("db");
+  std::map<NoteId, std::string> model;
+  std::string pages_before;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store,
+                         NoteStore::Open(db_dir, FaultingOptions(),
+                                         PagedInfo()));
+    Micros t = 1;
+    for (int i = 0; i < 4; ++i) {
+      Note note = SizedDoc(static_cast<uint64_t>(100 + i), t++, 90);
+      ASSERT_OK(store->Put(&note));
+    }
+    ASSERT_OK(store->Checkpoint());
+    ASSERT_OK_AND_ASSIGN(pages_before,
+                         ReadFileToString(db_dir + "/notes.pages"));
+    // Erase the four notes above: their pages are freed, so the pages
+    // below are written afresh over the checkpointed ones.
+    for (NoteId id = 1; id <= 4; ++id) ASSERT_OK(store->Erase(id));
+    model = Encode(DefragmentFirstPage(store.get(), &t));
+    ASSERT_EQ(EncodedNotes(*store), model);
     CrashCheckpoint(store.get());
   }
   ExpectRecoveryFromEveryTornPage(db_dir, pages_before, model);
